@@ -10,7 +10,7 @@ Five passes (see docs/ANALYSIS.md):
   (layering, ``__slots__`` on hot classes, nondeterminism sources);
 * :mod:`repro.analysis.parity` — semantic-drift diff between the
   reference pipeline and the fused batched kernel (mutation/hook fact
-  sets, the ``# parity: elided`` ledger, SoA-column coverage);
+  sets and the ``# parity: elided`` ledger);
 * :mod:`repro.analysis.restart` — abstract interpretation of PAL
   handler images proving they can be squashed and replayed on a
   back-to-back trap.

@@ -30,11 +30,6 @@ suite cannot see until they have already caused a silent regression):
   analyze the engine/pipeline layers as *source text*, never import
   them: a linter that imports the code it lints cannot report on a tree
   that fails to import.
-* ``missing-soa-columns`` / ``soa-declaration`` — batch classes in the
-  :data:`SOA_REQUIRED` table must declare their per-cell
-  structure-of-arrays columns in ``_SOA_COLUMNS`` (the parity pass then
-  verifies allocation/coverage against the digest surface), and every
-  declared column must be a real attribute.
 * ``parity-ledger-syntax`` — ``# parity:`` comments in ``engine/`` must
   be well-formed ``elided(<fact>, <reason>)`` entries; a malformed one
   is a dead suppression the parity pass would silently ignore.
@@ -76,22 +71,18 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     "checkpoint": frozenset(
         {"isa", "memory", "branch", "pipeline", "exceptions", "sim", "workloads"}
     ),
-    # engine sits beside checkpoint: backends drive the whole machine
-    # model (core subclasses, batch loading via checkpoint warm state,
-    # the arch-digest oracle from faults.fuzz) but stay below the
-    # experiment/analysis tooling.  Everything below engine reaches it
-    # only through lazy imports of the registry (resolve_engine /
-    # core_class / get_backend).
-    "engine": frozenset(
-        {"isa", "memory", "branch", "pipeline", "exceptions", "sim",
-         "checkpoint", "faults"}
-    ),
+    # engine is a name -> core-class registry plus the fused SMTCore
+    # subclass, so it needs only the layers that subclass touches.
+    # Everything that runs cells (sim, faults, scenarios) reaches it
+    # through lazy imports of the registry (resolve_engine / core_class);
+    # an engine that grows its own cell driver fails this row.
+    "engine": frozenset({"isa", "memory", "pipeline"}),
     # sim -> checkpoint is lazily imported (warm cells in parallel.py,
     # Simulator.save/restore_checkpoint); checkpoint imports sim eagerly.
     # sim -> faults is the lazily-imported spec validation in
     # MachineConfig and the worker-kill hook in parallel.py.  sim ->
-    # engine is the lazily-imported backend registry (run_cell,
-    # run_cell_batch, the cache key, perfbench).
+    # engine is the lazily-imported core-class registry (run_cell, the
+    # cache key, perfbench).
     "sim": frozenset(
         {
             "isa",
@@ -107,7 +98,7 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
         }
     ),
     # serve sits at the top of the runtime stack, beside experiments:
-    # the service drives sim.parallel's cells/batches/cache, derives
+    # the service drives sim.parallel's cells and cache, derives
     # warm checkpoints, and embeds store stats in obs manifests.  It
     # must never import experiments or analysis, and nothing below it
     # may import serve (their allowed sets simply omit it).
@@ -205,14 +196,6 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
 MODULE_FORBIDDEN: dict[str, frozenset[str]] = {
     "analysis/parity.py": frozenset({"engine", "pipeline"}),
     "analysis/restart.py": frozenset({"engine", "pipeline"}),
-}
-
-#: Classes (by repo-relative module path) that hold per-cell
-#: structure-of-arrays columns and must declare them in ``_SOA_COLUMNS``
-#: for the snapshot/digest protocol (coverage is verified by the parity
-#: pass; this rule guarantees the declaration exists).
-SOA_REQUIRED: dict[str, frozenset[str]] = {
-    "engine/batched.py": frozenset({"SweepBatch"}),
 }
 
 #: ``# parity:`` comments (the elision ledger in engine/) must parse.
@@ -426,41 +409,7 @@ class _ModuleChecker(ast.NodeVisitor):
         snapshot_classes = SNAPSHOT_REQUIRED.get(self.rel.as_posix(), frozenset())
         if node.name in snapshot_classes:
             self._check_snapshot_protocol(node)
-        soa_classes = SOA_REQUIRED.get(self.rel.as_posix(), frozenset())
-        if node.name in soa_classes:
-            self._check_soa_declaration(node)
         self.generic_visit(node)
-
-    # -- SoA column declaration ----------------------------------------
-    def _check_soa_declaration(self, node: ast.ClassDef) -> None:
-        columns: set[str] | None = None
-        lineno = node.lineno
-        for stmt in node.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "_SOA_COLUMNS"
-                    ):
-                        columns = self._string_tuple(stmt.value)
-                        lineno = stmt.lineno
-        if not columns:
-            self._emit(
-                "missing-soa-columns",
-                node.lineno,
-                f"batch class {node.name!r} must declare its per-cell "
-                "structure-of-arrays columns in a _SOA_COLUMNS tuple "
-                "(the parity pass verifies coverage against it)",
-            )
-            return
-        declared, _ = self._declared_attrs(node)
-        for column in sorted(columns - declared):
-            self._emit(
-                "soa-declaration",
-                lineno,
-                f"_SOA_COLUMNS names {column!r} but {node.name} declares "
-                "no such attribute",
-            )
 
     # -- checkpoint protocol coverage ----------------------------------
     @staticmethod

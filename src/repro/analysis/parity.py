@@ -36,16 +36,6 @@ fused kernel are excluded because they re-enter the reference path).
 Anything unresolvable is skipped on both sides, so the diff never
 reports noise from analysis gaps — only from genuine one-sided facts.
 
-The pass also guards the batch layer itself:
-
-* every per-cell SoA column ``SweepBatch.__init__`` allocates must be
-  declared in ``SweepBatch._SOA_COLUMNS`` and consumed outside
-  ``__init__`` (the snapshot/digest/row-view surface) — a column the
-  digest protocol cannot see is exactly where backend drift would hide;
-* ``engine/reference.py`` must stay a pure facade: if
-  ``ReferenceEngine`` grows methods, it is no longer "the unmodified
-  reference kernel behind the batch driver".
-
 Diagnostics (all ``passname="parity"``):
 
 ========================== ======== =====================================
@@ -55,10 +45,6 @@ parity-mutation-drift      error    reference-only mutation, not in ledger
 parity-hook-drift          error    hook present on one path only
 parity-elided-unused       error    ledger entry matching no drift
 parity-unmatched-site      warning  fused-only mutation
-parity-soa-undeclared      error    SoA column not in ``_SOA_COLUMNS``
-parity-soa-uncovered       error    declared column never consumed
-parity-soa-unknown         error    ``_SOA_COLUMNS`` names a non-column
-parity-reference-shadow    error    ``ReferenceEngine`` overrides logic
 ========================== ======== =====================================
 
 Run with ``repro-lint parity`` (or the default ``repro-lint`` sweep);
@@ -79,8 +65,6 @@ from repro.analysis.diagnostics import Diagnostic, Severity
 
 __all__ = [
     "ParityModel",
-    "check_reference_facade",
-    "check_soa",
     "diff_model",
     "extract_model",
     "run_parity",
@@ -572,7 +556,6 @@ REFERENCE_FILES = (
     "pipeline/window.py",
     "pipeline/uop.py",
     "memory/cache.py",
-    "engine/reference.py",
 )
 FUSED_FILES = ("engine/core.py",)
 
@@ -714,192 +697,13 @@ def diff_model(model: ParityModel) -> list[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# SweepBatch SoA coverage
-# ---------------------------------------------------------------------------
-
-
-def _is_column_value(node: ast.expr) -> bool:
-    """Does this ``__init__`` RHS allocate a per-cell parallel column?"""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in {"array", "list"}
-    if isinstance(node, (ast.List, ast.ListComp)):
-        return True
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        return isinstance(node.left, (ast.List, ast.Constant)) or isinstance(
-            node.right, (ast.List, ast.Constant)
-        )
-    return False
-
-
-def check_soa(
-    source: str, *, file: str | None = None, class_name: str = "SweepBatch"
-) -> list[Diagnostic]:
-    """Verify ``SweepBatch``'s SoA columns are declared and consumed.
-
-    Every per-cell column ``__init__`` allocates must appear in the
-    class's ``_SOA_COLUMNS`` declaration, and every declared column must
-    be read outside ``__init__`` — i.e. be visible to the row-view /
-    digest / results surface.  A column the protocol cannot see is a
-    place where a future backend could stash semantics the digest oracle
-    never compares.
-    """
-    diagnostics: list[Diagnostic] = []
-    tree = ast.parse(source)
-    cls = next(
-        (
-            n
-            for n in tree.body
-            if isinstance(n, ast.ClassDef) and n.name == class_name
-        ),
-        None,
-    )
-    if cls is None:
-        return diagnostics
-
-    declared: dict[str, int] = {}
-    columns: dict[str, int] = {}
-    consumed: set[str] = set()
-    for item in cls.body:
-        if isinstance(item, (ast.Assign, ast.AnnAssign)):
-            targets = item.targets if isinstance(item, ast.Assign) else [item.target]
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id == "_SOA_COLUMNS":
-                    value = item.value
-                    if isinstance(value, (ast.Tuple, ast.List)):
-                        for elt in value.elts:
-                            if isinstance(elt, ast.Constant) and isinstance(
-                                elt.value, str
-                            ):
-                                declared[elt.value] = elt.lineno
-        elif isinstance(item, ast.FunctionDef):
-            if item.name == "__init__":
-                for node in ast.walk(item):
-                    if (
-                        isinstance(node, (ast.Assign, ast.AnnAssign))
-                        and node.value is not None
-                    ):
-                        tgts = (
-                            node.targets
-                            if isinstance(node, ast.Assign)
-                            else [node.target]
-                        )
-                        for tgt in tgts:
-                            if (
-                                isinstance(tgt, ast.Attribute)
-                                and isinstance(tgt.value, ast.Name)
-                                and tgt.value.id == "self"
-                                and _is_column_value(node.value)
-                            ):
-                                columns[tgt.attr] = tgt.lineno
-    # Consumption = attribute use in any SweepBatch method other than
-    # __init__, or anywhere else in the module (the row view and the
-    # engine facade are the digest/results surface).
-    consumed = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name != "__init__":
-                    for sub in ast.walk(item):
-                        if isinstance(sub, ast.Attribute):
-                            consumed.add(sub.attr)
-        elif isinstance(node, ast.ClassDef):
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Attribute):
-                    consumed.add(sub.attr)
-
-    for col, lineno in sorted(columns.items()):
-        if col not in declared:
-            diagnostics.append(
-                Diagnostic(
-                    passname="parity",
-                    code="parity-soa-undeclared",
-                    severity=Severity.ERROR,
-                    unit="parity:soa",
-                    message=(
-                        f"{class_name}.__init__ allocates per-cell column "
-                        f"{col!r} but {class_name}._SOA_COLUMNS does not "
-                        "declare it; undeclared columns are invisible to "
-                        "the snapshot/digest protocol"
-                    ),
-                    file=file,
-                    line=lineno,
-                )
-            )
-    for col, lineno in sorted(declared.items()):
-        if col not in columns:
-            diagnostics.append(
-                Diagnostic(
-                    passname="parity",
-                    code="parity-soa-unknown",
-                    severity=Severity.ERROR,
-                    unit="parity:soa",
-                    message=(
-                        f"{class_name}._SOA_COLUMNS declares {col!r} but "
-                        "__init__ allocates no such column"
-                    ),
-                    file=file,
-                    line=lineno,
-                )
-            )
-        elif col not in consumed:
-            diagnostics.append(
-                Diagnostic(
-                    passname="parity",
-                    code="parity-soa-uncovered",
-                    severity=Severity.ERROR,
-                    unit="parity:soa",
-                    message=(
-                        f"SoA column {col!r} is declared but never read "
-                        "outside __init__; the digest/row-view surface "
-                        "cannot observe it"
-                    ),
-                    file=file,
-                    line=declared[col],
-                )
-            )
-    return diagnostics
-
-
-def check_reference_facade(source: str, *, file: str | None = None) -> list[Diagnostic]:
-    """``ReferenceEngine`` must stay a pure facade over ``SMTCore``."""
-    diagnostics: list[Diagnostic] = []
-    tree = ast.parse(source)
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "ReferenceEngine":
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    diagnostics.append(
-                        Diagnostic(
-                            passname="parity",
-                            code="parity-reference-shadow",
-                            severity=Severity.ERROR,
-                            unit="parity:kernel",
-                            message=(
-                                f"ReferenceEngine defines {item.name}(); the "
-                                "reference backend must stay the unmodified "
-                                "SMTCore kernel behind the batch driver"
-                            ),
-                            file=file,
-                            line=item.lineno,
-                        )
-                    )
-    return diagnostics
-
-
-# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
 
 def run_parity(root: Path | None = None) -> list[Diagnostic]:
-    """The full parity pass: kernel diff + SoA coverage + facade check."""
-    root = root or _package_root()
-    diagnostics = diff_model(extract_model(root))
-    batched = root / "engine" / "batched.py"
-    diagnostics.extend(check_soa(batched.read_text(), file=str(batched)))
-    reference = root / "engine" / "reference.py"
-    diagnostics.extend(check_reference_facade(reference.read_text(), file=str(reference)))
-    return diagnostics
+    """The full parity pass: the reference-vs-fused kernel diff."""
+    return diff_model(extract_model(root))
 
 
 #: The fact the selftest deletes from the fused set.  ``ThreadContext.pc``

@@ -1,59 +1,54 @@
-"""Pluggable simulation engine backends (``REPRO_ENGINE``).
+"""Selectable cycle kernels (``REPRO_ENGINE``).
 
-The engine registry is the seam between *what* a sweep cell computes
-(the machine model in ``repro.pipeline`` / ``repro.sim``) and *how*
-batches of cells are advanced:
+The engine registry maps a kernel name to the ``SMTCore`` class a
+:class:`~repro.sim.simulator.Simulator` is built with; every cell runs
+one simulator either way (:func:`repro.sim.parallel.run_cell`):
 
 ``reference``
-    The unmodified :class:`~repro.pipeline.core.SMTCore` kernel, one
-    cell at a time.  The default, and the oracle every other backend is
-    differentially verified against.
+    The unmodified :class:`~repro.pipeline.core.SMTCore` kernel.  The
+    default, and the oracle the fused kernel is differentially verified
+    against (``repro-fuzz --engine-diff``, ``repro-scenarios``).
 ``batched``
-    The structure-of-arrays lockstep driver over dispatch-fused cores
-    (:mod:`repro.engine.batched`); bit-identical results, ~2x sweep
-    throughput (see ``docs/PERFORMANCE.md`` and ``BENCH_batched.json``).
+    :class:`~repro.engine.core.BatchedSMTCore`, whose dispatch-fused
+    cycle loop is a line-for-line transcription of the reference stages;
+    bit-identical results.  Its speed relative to the reference kernel
+    is the ``engine.fused_speedup`` metric of the end-to-end benchmark
+    (``benchmarks/e2e/README.md``).
 
-Select a backend per process with ``REPRO_ENGINE=reference|batched``
+Select a kernel per process with ``REPRO_ENGINE=reference|batched``
 (experiment CLIs expose it as ``--engine``); the choice propagates to
 pool workers and is part of every result-cache key, so results from
-different backends can never be served for one another.
+different kernels can never be served for one another.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.engine.base import EngineBackend
-from repro.engine.batched import BatchedEngine, SweepBatch
 from repro.engine.core import BatchedSMTCore
-from repro.engine.reference import ReferenceEngine
 
 __all__ = [
-    "BatchedEngine",
     "BatchedSMTCore",
     "ENGINES",
-    "EngineBackend",
-    "ReferenceEngine",
-    "SweepBatch",
     "core_class",
-    "get_backend",
     "resolve_engine",
 ]
 
-_REGISTRY: dict[str, type[EngineBackend]] = {
-    ReferenceEngine.name: ReferenceEngine,
-    BatchedEngine.name: BatchedEngine,
+#: Kernel name -> ``SMTCore`` subclass (``None`` = the reference kernel).
+_REGISTRY = {
+    "reference": None,
+    "batched": BatchedSMTCore,
 }
 
-#: Registered backend names, reference first.
+#: Registered kernel names, reference first.
 ENGINES = tuple(_REGISTRY)
 
-DEFAULT_ENGINE = ReferenceEngine.name
+DEFAULT_ENGINE = "reference"
 
 
 def resolve_engine(name: str | None = None) -> str:
     """Normalize an engine selection: explicit ``name`` wins, else
-    ``REPRO_ENGINE``, else the reference backend.  Unknown names raise
+    ``REPRO_ENGINE``, else the reference kernel.  Unknown names raise
     :class:`ValueError` here, at configuration time."""
     if name is None or name == "":
         name = os.environ.get("REPRO_ENGINE", "").strip() or DEFAULT_ENGINE
@@ -64,15 +59,9 @@ def resolve_engine(name: str | None = None) -> str:
     return name
 
 
-def get_backend(name: str | None = None) -> EngineBackend:
-    """A fresh backend instance for ``name`` (resolved per
-    :func:`resolve_engine`)."""
-    return _REGISTRY[resolve_engine(name)]()
-
-
 def core_class(name: str | None = None):
-    """The ``SMTCore`` subclass a backend injects into single-cell
-    :class:`~repro.sim.simulator.Simulator` construction, or ``None``
-    for the reference kernel.  This is how non-batch surfaces
-    (``perfbench``, one-off runs) honour the engine selection."""
-    return _REGISTRY[resolve_engine(name)].core_cls
+    """The ``SMTCore`` subclass to build a
+    :class:`~repro.sim.simulator.Simulator` with for the selected kernel
+    (resolved per :func:`resolve_engine`), or ``None`` for the reference
+    kernel."""
+    return _REGISTRY[resolve_engine(name)]

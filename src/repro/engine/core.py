@@ -1,9 +1,9 @@
-"""A dispatch-fused :class:`SMTCore` for the batched sweep engine.
+"""A dispatch-fused :class:`SMTCore`: the ``batched`` engine's kernel.
 
-:class:`BatchedSMTCore` is the per-cell execution kernel behind
-``repro.engine.batched``.  It is the *same machine* as
-:class:`repro.pipeline.core.SMTCore` -- same stages, same budgets, same
-event scheduler, same stats -- with the per-cycle Python dispatch
+:class:`BatchedSMTCore` is the cycle kernel a cell runs on when
+``REPRO_ENGINE=batched`` (see :mod:`repro.engine`).  It is the *same
+machine* as :class:`repro.pipeline.core.SMTCore` -- same stages, same
+budgets, same event scheduler, same stats -- with the per-cycle Python dispatch
 overhead fused away.  :meth:`run_to` is one flat loop whose body is a
 line-for-line transcription of the reference stage bodies (retire,
 execute, decode, fetch, in that order) with:
@@ -32,8 +32,8 @@ execute, decode, fetch, in that order) with:
   results).
 
 Every state transition, counter update, and stall decision matches the
-reference paths bit-for-bit, which is what the batch-of-1 equivalence
-suite and ``repro-fuzz --engine-diff`` hold it to: identical
+reference paths bit-for-bit, which is what the kernel equivalence
+suite (``tests/engine/test_equivalence.py``) and ``repro-fuzz --engine-diff`` hold it to: identical
 ``arch_digest`` and ``SimStats`` for every mechanism on every workload.
 
 When an observability bus is attached the kernel falls back to the

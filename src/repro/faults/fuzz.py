@@ -306,10 +306,10 @@ def run_program(
 ) -> RunOutcome:
     """One simulation to halt; sanitizer attached, faults per spec.
 
-    ``core_cls`` swaps in an engine backend's core class (engine-diff
-    mode); the run is driven through ``run_to`` either way so both
-    kernels execute their production batch-stepping path, not just
-    single ``step()`` calls.
+    ``core_cls`` swaps in an engine's core class (engine-diff mode);
+    the run is driven through ``run_to`` either way so both kernels
+    execute their production run loop, not just single ``step()``
+    calls.
     """
     program = make_program(
         case.program.source,

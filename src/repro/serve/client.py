@@ -132,7 +132,7 @@ def run_cells_via_server(
 
     The bit-for-bit equivalent of
     :func:`repro.sim.parallel.run_cells` -- the server runs the same
-    engine batches against the same content-addressed cache keys -- just
+    cells against the same content-addressed cache keys -- just
     with the simulation happening wherever the server is.
     """
     from repro.serve.service import spec_to_dict

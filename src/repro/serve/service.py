@@ -17,7 +17,7 @@ through three layers, cheapest first:
    unreachable owner degrades to local execution;
 4. the **worker pools** -- remaining cells are sharded by content
    address across one or more persistent ``ProcessPoolExecutor`` pools
-   and claimed in engine batches
+   and submitted one cell per future
    (:func:`~repro.sim.parallel.run_cell_batch`), exactly like the
    one-shot runner, so results are bit-identical to ``run_cells`` by
    construction.
@@ -58,7 +58,6 @@ from repro.sim.parallel import (
     _worker_env,
     _worker_init,
     derive_warm_cells,
-    pool_batch_size,
     run_cell,
     run_cell_batch,
 )
@@ -365,21 +364,41 @@ class SweepService:
             if self.pools <= 0:
                 self._executors = [None]
             else:
-                per_pool = self.workers or max(
-                    1, (os.cpu_count() or 1) // self.pools
-                )
                 self._executors = [
-                    self._make_pool(per_pool) for _ in range(self.pools)
+                    self._make_pool() for _ in range(self.pools)
                 ]
         return self._executors
 
-    @staticmethod
-    def _make_pool(workers: int) -> ProcessPoolExecutor:
+    def _make_pool(self) -> ProcessPoolExecutor:
+        """One shard's pool: ``workers`` processes, else the CPU count
+        split across the pools."""
         return ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=self.workers
+            or max(1, (os.cpu_count() or 1) // self.pools),
             initializer=_worker_init,
             initargs=(_worker_env(),),
         )
+
+    def _replace_pool(
+        self, shard: int, failed: Executor | None
+    ) -> Executor | None:
+        """The executor to retry on after ``failed`` raised under a cell.
+
+        Only the first cell to report a failed pool replaces it: a cell
+        that failed on the same pool later finds the replacement already
+        installed and retries there, instead of shutting down a pool
+        other cells are retrying on.  The old pool is shut down without
+        cancelling its queue -- a broken pool has already failed every
+        queued cell, and a healthy one (a cell that raised on its own)
+        finishes the cells it holds.
+        """
+        executors = self._shards()
+        if executors[shard] is failed and isinstance(
+            failed, ProcessPoolExecutor
+        ):
+            failed.shutdown(wait=False)
+            executors[shard] = self._make_pool()
+        return executors[shard]
 
     def _shard_for(self, key: str) -> int:
         """Stable shard of a content address (hex-prefix mod pools)."""
@@ -456,7 +475,8 @@ class SweepService:
                 to_start.append((key, spec))
             waiting.append((index, spec, key, False, future))
 
-        self._launch(await self._attach_wire_warm(to_start))
+        for key, spec in await self._attach_wire_warm(to_start):
+            asyncio.ensure_future(self._simulate(key, spec))
         for key, spec, owner in to_forward:
             asyncio.ensure_future(self._forward_cell(key, spec, owner))
 
@@ -573,7 +593,7 @@ class SweepService:
             self.forward_fallbacks += 1
             if self.ring is not None:
                 self.cells_owned += 1
-            self._launch([(key, spec)])
+            await self._simulate(key, spec)
             return
         self.cells_forwarded += 1
         # Keep a local copy: the forwarding node becomes a replica, so
@@ -797,85 +817,43 @@ class SweepService:
         }
 
     # -- simulation -----------------------------------------------------
-    def _launch(self, to_start: list[tuple[str, CellSpec]]) -> None:
-        """Shard fresh cells and fire one task per engine batch."""
-        if not to_start:
-            return
-        by_shard: dict[int, list[tuple[str, CellSpec]]] = {}
-        for key, spec in to_start:
-            by_shard.setdefault(self._shard_for(key), []).append((key, spec))
-        for shard, group in by_shard.items():
-            workers = self.workers or 1
-            size = pool_batch_size(len(group), workers)
-            for start in range(0, len(group), size):
-                asyncio.ensure_future(
-                    self._run_batch(shard, group[start : start + size])
-                )
+    async def _simulate(self, key: str, spec: CellSpec) -> None:
+        """Simulate one cell on its shard and publish it to its waiters.
 
-    async def _run_batch(
-        self, shard: int, keyed: list[tuple[str, CellSpec]]
-    ) -> None:
-        """Run one claimed batch on its shard and publish every cell.
-
-        Mirrors the one-shot runner's self-healing ladder: a failed
-        batch claim (worker crash, broken pool) rebuilds the shard's
-        pool and retries cells one at a time; cells that still fail run
-        serially on the thread executor, which cannot crash away.
+        Mirrors the one-shot runner's self-healing ladder: a failure on
+        the shard's pool (worker crash, broken pool) retries once on a
+        rebuilt pool (:meth:`_replace_pool`), then in-process on the
+        thread executor, which cannot crash away.  A cell that *still*
+        raises fails deterministically; the error goes to every waiter
+        (re-running it could only fail identically), never swallowed.
         """
         loop = asyncio.get_running_loop()
-        specs = [spec for _, spec in keyed]
+        shard = self._shard_for(key)
+        executor = self._shards()[shard]
         try:
-            results: list[SimResult | Exception] = list(
-                await loop.run_in_executor(
-                    self._shards()[shard], run_cell_batch, specs
-                )
-            )
-        except Exception:
-            results = await self._retry_cells(shard, specs)
-        for (key, spec), result in zip(keyed, results):
-            future = self._inflight.pop(key, None)
-            if isinstance(result, Exception):
-                # Deterministically failing cell: every waiter gets the
-                # error (re-running it could only fail identically).
-                if future is not None and not future.done():
-                    future.set_exception(result)
-                continue
-            await loop.run_in_executor(None, self.store.put, spec, result)
-            self.cells_simulated += 1
-            if future is not None and not future.done():
-                future.set_result(result)
-
-    async def _retry_cells(
-        self, shard: int, specs: list[CellSpec]
-    ) -> list[SimResult | Exception]:
-        loop = asyncio.get_running_loop()
-        executors = self._shards()
-        old = executors[shard]
-        if isinstance(old, ProcessPoolExecutor):
-            old.shutdown(wait=False, cancel_futures=True)
-            executors[shard] = self._make_pool(
-                self.workers or max(1, (os.cpu_count() or 1) // len(executors))
-            )
-        results: list[SimResult | Exception] = []
-        for spec in specs:
             try:
-                results.append(
-                    await loop.run_in_executor(
-                        executors[shard], run_cell, spec
-                    )
+                (result,) = await loop.run_in_executor(
+                    executor, run_cell_batch, [spec]
                 )
             except Exception:
-                # Terminal degrade: in-process (thread executor) serial
-                # run, like run_cells' serial completion path.  A cell
-                # that *still* raises here fails deterministically; the
-                # error is routed to its waiters, never swallowed.
                 try:
-                    results.append(
-                        await loop.run_in_executor(None, run_cell, spec)
+                    (result,) = await loop.run_in_executor(
+                        self._replace_pool(shard, executor),
+                        run_cell_batch,
+                        [spec],
                     )
-                except Exception as exc:
-                    results.append(exc)
-        return results
+                except Exception:
+                    result = await loop.run_in_executor(None, run_cell, spec)
+        except Exception as exc:
+            future = self._inflight.pop(key, None)
+            if future is not None and not future.done():
+                future.set_exception(exc)
+            return
+        await loop.run_in_executor(None, self.store.put, spec, result)
+        self.cells_simulated += 1
+        future = self._inflight.pop(key, None)
+        if future is not None and not future.done():
+            future.set_result(result)
 
     # -- stats ----------------------------------------------------------
     def stats_dict(self) -> dict:

@@ -19,7 +19,7 @@ with
   least-recently-used cells first.
 
 Because the layout and addressing are identical to ``ResultCache``, the
-service's store and the batch runner's cache are the *same* cache: a
+service's store and the parallel runner's cache are the *same* cache: a
 sweep run through ``run_cells`` warms the service and vice versa.
 """
 

@@ -31,16 +31,12 @@ Environment knobs:
     a fresh pool (default ``2``) before degrading to the in-process
     serial path.  Retries back off linearly (0.25 s per attempt).
 ``REPRO_ENGINE``
-    Engine backend for every cell (``reference`` or ``batched``, see
-    :mod:`repro.engine`).  Backends are differentially verified to be
+    Cycle kernel for every cell (``reference`` or ``batched``, see
+    :mod:`repro.engine`).  The kernels are differentially verified to be
     bit-identical, but the selection still keys the cache and follows
     cells into pool workers, so a result can always be traced to the
-    backend that produced it.
-``REPRO_BATCH``
-    Cells per worker claim on the pool path (0/unset picks a balanced
-    size).  A worker runs its whole claim through the selected engine
-    backend as one lockstep batch; only cache *misses* are batched --
-    warm cells are served straight from the cache first.
+    kernel that produced it.  How much faster the fused kernel runs is
+    the ``engine.fused_speedup`` metric in ``benchmarks/e2e/README.md``.
 ``REPRO_CACHE``
     Set to ``0`` to disable the on-disk result cache.
 ``REPRO_CACHE_DIR``
@@ -146,8 +142,7 @@ def _test_fault_hook() -> None:
 
 def run_cell(spec: CellSpec, engine: str | None = None) -> SimResult:
     """Run one cell to completion (in the current process) under the
-    selected engine backend's cycle kernel (``REPRO_ENGINE`` when
-    ``engine`` is None)."""
+    selected cycle kernel (``REPRO_ENGINE`` when ``engine`` is None)."""
     _test_fault_hook()
     from repro.engine import core_class
 
@@ -177,20 +172,10 @@ def run_cell(spec: CellSpec, engine: str | None = None) -> SimResult:
 def run_cell_batch(
     specs: list[CellSpec], engine: str | None = None
 ) -> list[SimResult]:
-    """Run ``specs`` as one engine batch, in spec order.
-
-    This is the batch analogue of :func:`run_cell`: the selected
-    backend (``REPRO_ENGINE`` when ``engine`` is None) advances every
-    cell in lockstep and cells complete raggedly.  Pool workers claim
-    their cells through here, so a worker's whole claim shares one
-    driver loop.
-    """
-    _test_fault_hook()
-    from repro.engine import get_backend
-
-    backend = get_backend(engine)
-    backend.configure(specs)
-    return backend.run()
+    """Run ``specs`` one after another with :func:`run_cell`, in spec
+    order.  The pool-worker entry point: the runner and the sweep
+    service submit every cell through here (one cell per call)."""
+    return [run_cell(spec, engine) for spec in specs]
 
 
 def derive_warm_cells(specs: list[CellSpec]) -> list[CellSpec]:
@@ -291,10 +276,10 @@ class ResultCache:
         # REPRO_FAULTS changes results without touching the spec (the
         # core falls back to it when config.faults is empty), so it must
         # key the cache too or faulted runs would be served clean cells.
-        # The engine backend keys it as well: backends are verified
+        # The cycle kernel keys it as well: kernels are verified
         # bit-identical, but a cached result must stay traceable to the
-        # kernel that produced it (and a backend bug must never hide
-        # behind another backend's cached cells).
+        # kernel that produced it (and a kernel bug must never hide
+        # behind another kernel's cached cells).
         from repro.engine import resolve_engine
 
         faults_env = os.environ.get("REPRO_FAULTS", "")
@@ -543,28 +528,6 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def pool_batch_size(pending: int, workers: int) -> int:
-    """Cells per worker claim: ``REPRO_BATCH`` if set, else balanced.
-
-    The automatic size aims for a few claims per worker (load balance
-    against stragglers) while still giving each claim several cells to
-    amortize one engine driver loop over; a single cell per claim is
-    the floor either way.
-    """
-    raw = os.environ.get("REPRO_BATCH", "").strip()
-    if raw:
-        try:
-            size = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_BATCH must be a positive integer, got {raw!r}"
-            ) from None
-        if size < 1:
-            raise ValueError(f"REPRO_BATCH must be positive, got {size}")
-        return size
-    return max(1, min(16, pending // (workers * 4) or 1))
-
-
 def _run_pool_attempt(
     todo: list[CellSpec],
     pending: list[int],
@@ -575,36 +538,27 @@ def _run_pool_attempt(
     """One pool generation: run ``pending`` cells, fill ``out``, and
     return the indices still unfinished (crashed or hung).
 
-    Workers claim *batches* of cells (:func:`pool_batch_size` each) and
-    run every claim through the engine backend as one lockstep batch
-    (:func:`run_cell_batch`).  A worker crash surfaces as
-    ``BrokenProcessPool`` on every outstanding future -- those claims'
-    cells stay pending and the *caller* decides whether another
-    generation is allowed (retries re-batch from whatever is left).
-    With a timeout, each cell still contributes ``timeout`` to its
-    wave's collective deadline; when it passes, whatever is still
-    running is treated as hung and the whole pool is killed (there is
-    no portable way to kill one worker's job without killing the
-    worker).
+    Each cell is its own future (:func:`run_cell_batch` of one spec).
+    A worker crash surfaces as ``BrokenProcessPool`` on every
+    outstanding future -- those cells stay pending and the *caller*
+    decides whether another generation is allowed.  With a timeout,
+    each wave of ``workers`` cells gets ``timeout`` seconds of the
+    collective deadline; when it passes, whatever is still running is
+    treated as hung and the whole pool is killed (there is no portable
+    way to kill one worker's job without killing the worker).
     """
-    batch_size = pool_batch_size(len(pending), workers)
-    batches = [
-        pending[i : i + batch_size]
-        for i in range(0, len(pending), batch_size)
-    ]
     deadline = None
     if timeout > 0:
-        waves = (len(batches) + workers - 1) // workers
-        deadline = time.monotonic() + timeout * waves * batch_size
+        waves = (len(pending) + workers - 1) // workers
+        deadline = time.monotonic() + timeout * waves
     pool = ProcessPoolExecutor(
-        max_workers=min(workers, len(batches)),
+        max_workers=min(workers, len(pending)),
         initializer=_worker_init,
         initargs=(_worker_env(),),
     )
     try:
         futures = {
-            pool.submit(run_cell_batch, [todo[i] for i in batch]): batch
-            for batch in batches
+            pool.submit(run_cell_batch, [todo[i]]): i for i in pending
         }
         not_done = set(futures)
         while not_done:
@@ -619,15 +573,12 @@ def _run_pool_attempt(
             if not done:
                 break  # timed out inside wait()
             for future in done:
-                batch = futures[future]
                 try:
-                    batch_results = future.result()
+                    (out[futures[future]],) = future.result()
                 except Exception:
-                    # This claim's worker died (or the pool broke under
-                    # it); leave its cells unfinished for the retry loop.
+                    # This cell's worker died (or the pool broke under
+                    # it); leave it unfinished for the retry loop.
                     continue
-                for idx, result in zip(batch, batch_results):
-                    out[idx] = result
     finally:
         _kill_pool(pool)
     return [i for i in pending if out[i] is None]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis.archlint import (
     ALLOWED_IMPORTS,
@@ -117,39 +119,19 @@ class TestStaticPassLayering:
         assert diags == []
 
 
-class TestSoaDeclarationRule:
-    def _lint(self, tmp_path, source):
-        path = tmp_path / "batched.py"
-        path.write_text(source)
-        return check_file(path, Path("engine/batched.py"))
+class TestEngineLayering:
+    """engine is a core-class registry: it must not drive cells itself."""
 
-    def test_missing_soa_columns_is_flagged(self, tmp_path):
-        diags = self._lint(
-            tmp_path,
-            "class SweepBatch:\n    __slots__ = ('pcs',)\n"
-            "    def __init__(self):\n        self.pcs = []\n",
-        )
-        assert "missing-soa-columns" in {d.code for d in diags}
+    def test_engine_row_is_the_core_layers(self):
+        assert ALLOWED_IMPORTS["engine"] == frozenset({"isa", "memory", "pipeline"})
 
-    def test_declared_columns_pass(self, tmp_path):
-        diags = self._lint(
-            tmp_path,
-            "class SweepBatch:\n"
-            "    __slots__ = ('pcs',)\n"
-            "    _SOA_COLUMNS = ('pcs',)\n"
-            "    def __init__(self):\n        self.pcs = []\n",
-        )
-        assert diags == []
-
-    def test_declaring_nonexistent_column_is_flagged(self, tmp_path):
-        diags = self._lint(
-            tmp_path,
-            "class SweepBatch:\n"
-            "    __slots__ = ('pcs',)\n"
-            "    _SOA_COLUMNS = ('pcs', 'ghost')\n"
-            "    def __init__(self):\n        self.pcs = []\n",
-        )
-        assert "soa-declaration" in {d.code for d in diags}
+    @pytest.mark.parametrize("package", ["sim", "checkpoint", "faults"])
+    def test_engine_driver_imports_are_flagged(self, tmp_path, package):
+        path = tmp_path / "driver.py"
+        path.write_text(f"def load():\n    import repro.{package}\n")
+        diags = check_file(path, Path("engine/driver.py"))
+        assert [d.code for d in diags] == ["layering"]
+        assert f"repro.{package}" in diags[0].message
 
 
 class TestLedgerSyntaxRule:

@@ -2,20 +2,16 @@
 
 The pass diffs the mutation/hook fact sets of the reference pipeline
 against the fused batched kernel.  The shipped tree must verify clean,
-the self-test must catch a seeded drift, and the diff/SoA/facade
-checkers are exercised on synthetic inputs.
+the self-test must catch a seeded drift, and the diff checker is
+exercised on synthetic inputs.
 """
 
 from __future__ import annotations
-
-import textwrap
 
 from repro.analysis.parity import (
     FactSet,
     ParityModel,
     SELFTEST_FACT,
-    check_reference_facade,
-    check_soa,
     diff_model,
     extract_model,
     run_parity,
@@ -132,64 +128,3 @@ class TestScanLedger:
 
     def test_ignores_unrelated_comments(self):
         assert scan_ledger("# parity is great\n# elided(x, y)\n") == []
-
-
-SOA_OK = textwrap.dedent(
-    """
-    class SweepBatch:
-        _SOA_COLUMNS = ("pcs", "live")
-
-        def __init__(self, n):
-            self.pcs = [0] * n
-            self.live = [True] * n
-
-        def step(self):
-            return self.pcs, self.live
-    """
-)
-
-
-class TestCheckSoa:
-    def test_complete_declaration_is_clean(self):
-        assert check_soa(SOA_OK, file="<t>") == []
-
-    def test_undeclared_column_is_error(self):
-        source = SOA_OK.replace('_SOA_COLUMNS = ("pcs", "live")', '_SOA_COLUMNS = ("pcs",)')
-        diags = check_soa(source, file="<t>")
-        assert [d.code for d in diags] == ["parity-soa-undeclared"]
-        assert "live" in diags[0].message
-
-    def test_unknown_declared_name_is_error(self):
-        source = SOA_OK.replace('"live")', '"live", "ghost")')
-        diags = check_soa(source, file="<t>")
-        assert [d.code for d in diags] == ["parity-soa-unknown"]
-        assert "ghost" in diags[0].message
-
-    def test_uncovered_column_is_error(self):
-        # Declared and assigned, but never consumed outside __init__:
-        # nothing would notice if snapshot/restore dropped it.
-        source = SOA_OK.replace("return self.pcs, self.live", "return self.pcs")
-        diags = check_soa(source, file="<t>")
-        assert [d.code for d in diags] == ["parity-soa-uncovered"]
-        assert "live" in diags[0].message
-
-    def test_missing_class_is_ignored(self):
-        assert check_soa("class Other:\n    pass\n", file="<t>") == []
-
-
-class TestReferenceFacade:
-    def test_plain_reexport_is_clean(self):
-        source = "from repro.pipeline.core import SMTCore\n\nReferenceEngine = SMTCore\n"
-        assert check_reference_facade(source, file="<t>") == []
-
-    def test_shadowing_method_is_error(self):
-        source = textwrap.dedent(
-            """
-            class ReferenceEngine:
-                def run_to(self, cycle):
-                    pass
-            """
-        )
-        diags = check_reference_facade(source, file="<t>")
-        assert [d.code for d in diags] == ["parity-reference-shadow"]
-        assert diags[0].is_error

@@ -1,12 +1,14 @@
-"""Batch-of-1 equivalence: the batched engine must be bit-identical to
-the reference path for every mechanism -- same ``SimResult``, same full
-``SimStats`` dict, same architectural digest."""
+"""Kernel equivalence: a cell run on the fused ``batched`` kernel must be
+bit-identical to the reference kernel for every mechanism -- same
+``SimResult``, same full ``SimStats`` dict, same architectural digest."""
 
 import pytest
 
-from repro.engine import get_backend
+from repro.engine import core_class
+from repro.faults.fuzz import arch_digest
 from repro.sim.config import MECHANISMS, MachineConfig
 from repro.sim.parallel import CellSpec, run_cell
+from repro.sim.simulator import Simulator
 
 USER_INSTS = 1200
 WARMUP_INSTS = 300
@@ -23,43 +25,45 @@ def _spec(mechanism, workload="compress"):
     )
 
 
-def _run_backend(name, spec):
-    backend = get_backend(name)
-    backend.configure([spec])
-    results = backend.run()
-    return backend, results[0]
+def _assert_same_cell(spec):
+    reference = run_cell(spec, engine="reference")
+    batched = run_cell(spec, engine="batched")
+    assert batched == reference
+    assert batched.stats.as_dict() == reference.stats.as_dict()
+
+
+def _digest(spec, engine):
+    """Architectural digest of ``spec`` run on ``engine``'s kernel."""
+    sim = Simulator(
+        spec.build_programs(), spec.config, core_cls=core_class(engine)
+    )
+    sim.run(
+        user_insts=spec.user_insts,
+        warmup_insts=spec.warmup_insts,
+        max_cycles=spec.max_cycles,
+    )
+    return arch_digest(sim)
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
 def test_batch_of_one_matches_reference(mechanism):
     spec = _spec(mechanism)
-    reference = run_cell(spec, engine="reference")
-    backend, batched = _run_backend("batched", spec)
-
-    assert batched == reference
-    assert batched.stats.as_dict() == reference.stats.as_dict()
-
-    ref_backend, _ = _run_backend("reference", spec)
-    assert backend.digest(0) == ref_backend.digest(0)
+    _assert_same_cell(spec)
+    assert _digest(spec, "batched") == _digest(spec, "reference")
 
 
 @pytest.mark.parametrize("workload", ["gcc", "murphi", ("compress", "gcc")])
 def test_batch_of_one_matches_reference_across_workloads(workload):
-    spec = _spec("multithreaded", workload=workload)
-    reference = run_cell(spec, engine="reference")
-    _, batched = _run_backend("batched", spec)
-    assert batched == reference
-    assert batched.stats.as_dict() == reference.stats.as_dict()
+    _assert_same_cell(_spec("multithreaded", workload=workload))
 
 
 def test_no_warmup_cell_matches_reference():
-    spec = CellSpec(
-        workload="compress",
-        config=MachineConfig(mechanism="traditional", idle_threads=1),
-        user_insts=800,
-        warmup_insts=0,
-        max_cycles=MAX_CYCLES,
+    _assert_same_cell(
+        CellSpec(
+            workload="compress",
+            config=MachineConfig(mechanism="traditional", idle_threads=1),
+            user_insts=800,
+            warmup_insts=0,
+            max_cycles=MAX_CYCLES,
+        )
     )
-    reference = run_cell(spec, engine="reference")
-    _, batched = _run_backend("batched", spec)
-    assert batched == reference

@@ -1,14 +1,11 @@
-"""Engine registry: name resolution, env override, backend lookup."""
+"""Engine registry: name resolution, env override, core-class lookup."""
 
 import pytest
 
 from repro.engine import (
     ENGINES,
-    BatchedEngine,
     BatchedSMTCore,
-    ReferenceEngine,
     core_class,
-    get_backend,
     resolve_engine,
 )
 
@@ -43,14 +40,6 @@ class TestResolveEngine:
 
 
 class TestBackendLookup:
-    def test_get_backend_types(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert isinstance(get_backend(), ReferenceEngine)
-        assert isinstance(get_backend("batched"), BatchedEngine)
-
-    def test_get_backend_returns_fresh_instances(self):
-        assert get_backend("batched") is not get_backend("batched")
-
     def test_core_class_per_backend(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         assert core_class("reference") is None

@@ -1,4 +1,5 @@
-"""The sweep service core: spec codec, dedupe, bit-identity, failure."""
+"""The sweep service core: spec codec, dedupe, bit-identity, failure,
+and recovery from a crashed pool worker."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.serve.service import (
     SweepRequestError,
+    SweepService,
     config_from_dict,
     config_to_dict,
     expand_sweep,
@@ -16,6 +18,7 @@ from repro.serve.service import (
     spec_to_dict,
     summarize,
 )
+from repro.serve.store import ContentStore
 from repro.sim.config import FUPool, MachineConfig
 from repro.sim.parallel import run_cell
 from tests.serve.helpers import make_grid, make_service, make_spec
@@ -183,6 +186,46 @@ class TestResolution:
 
         with pytest.raises(RuntimeError, match="engine exploded"):
             asyncio.run(run())
+
+    def test_killed_pool_worker_is_recovered_per_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """A real pool worker dies with four distinct cells in flight:
+        every cell still resolves, bit-identical to a serial run, each
+        simulated exactly once, and nothing is left in flight."""
+        latch = tmp_path / "kill.latch"
+        latch.touch()
+        monkeypatch.setenv("REPRO_TEST_WORKER_FAULT", f"kill:{latch}")
+        service = SweepService(
+            store=ContentStore(tmp_path / "store"), pools=1, workers=2
+        )
+        pools_made = []
+        make_pool = service._make_pool
+        monkeypatch.setattr(
+            service, "_make_pool", lambda: pools_made.append(1) or make_pool()
+        )
+        specs = make_grid()
+
+        async def run():
+            try:
+                return await asyncio.wait_for(
+                    service.run_cells(specs), timeout=300
+                )
+            finally:
+                service.close()
+
+        outcomes = asyncio.run(run())
+        assert not latch.exists(), "the sabotage never fired"
+        for spec, outcome in zip(specs, outcomes):
+            assert dataclasses.asdict(outcome.result) == dataclasses.asdict(
+                run_cell(spec)
+            )
+        assert service.cells_simulated == 4
+        assert service._inflight == {}
+        # The first pool plus one rebuild: cells that failed on the same
+        # broken pool retry on its replacement instead of each building
+        # (and shutting down) another.
+        assert len(pools_made) == 2
 
     def test_stats_dict_shape(self, tmp_path):
         service = make_service(tmp_path)

@@ -1,14 +1,12 @@
 """Engine wiring in the parallel runner: cache keys, worker env
-propagation, batch claims, and pool bit-identity across backends."""
-
-import pytest
+propagation, the pool-worker entry point, and pool bit-identity across
+kernels."""
 
 from repro.sim.config import MachineConfig
 from repro.sim.parallel import (
     _WORKER_ENV_KEYS,
     CellSpec,
     ResultCache,
-    pool_batch_size,
     run_cell,
     run_cell_batch,
     run_cells,
@@ -52,26 +50,6 @@ class TestWorkerEnv:
         assert "REPRO_ENGINE" in _WORKER_ENV_KEYS
 
 
-class TestPoolBatchSize:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "5")
-        assert pool_batch_size(100, 4) == 5
-
-    @pytest.mark.parametrize("raw", ["0", "-3", "lots"])
-    def test_bad_env_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_BATCH", raw)
-        with pytest.raises(ValueError, match="REPRO_BATCH"):
-            pool_batch_size(100, 4)
-
-    def test_auto_sizing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        # Few cells: one per claim keeps all workers busy.
-        assert pool_batch_size(3, 8) == 1
-        # Large grids amortize several cells per claim, capped at 16.
-        assert pool_batch_size(100, 4) == 100 // 16
-        assert pool_batch_size(10_000, 4) == 16
-
-
 class TestBatchClaims:
     def test_run_cell_batch_matches_run_cell(self):
         specs = [_spec("traditional"), _spec("multithreaded")]
@@ -84,5 +62,4 @@ class TestBatchClaims:
         specs = [_spec("traditional"), _spec("quickstart"), _spec("hardware")]
         serial = [run_cell(s, engine="reference") for s in specs]
         monkeypatch.setenv("REPRO_ENGINE", "batched")
-        monkeypatch.setenv("REPRO_BATCH", "2")
         assert run_cells(specs, jobs=2) == serial
