@@ -16,7 +16,7 @@ import dataclasses
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.common import Settings, penalty_table
+from repro.experiments.common import PenaltyTable, Settings, penalty_grid
 from repro.sim.config import MachineConfig
 
 ABLATION_SETTINGS = Settings(
@@ -26,12 +26,11 @@ ABLATION_SETTINGS = Settings(
 
 
 def _suite_penalty(configs, reference_label):
-    rows = []
-    for name in ABLATION_SETTINGS.benchmarks:
-        rows.extend(
-            penalty_table(name, configs, ABLATION_SETTINGS,
-                          reference_label=reference_label)
-        )
+    rows = penalty_grid(
+        [PenaltyTable(name, configs, reference_label=reference_label)
+         for name in ABLATION_SETTINGS.benchmarks],
+        ABLATION_SETTINGS,
+    )
     by_label = {}
     for row in rows:
         by_label.setdefault(row.label, []).append(row.penalty_per_miss)
@@ -99,17 +98,17 @@ def test_dtlb_reach_sweep(benchmark):
     """Growing the DTLB removes the misses themselves (Section 2: the
     orthogonal attack the paper is *not* taking)."""
     def run():
-        out = {}
-        for entries in (32, 64, 256):
-            config = MachineConfig(mechanism="multithreaded",
-                                   dtlb_entries=entries)
-            rows = []
-            for name in ABLATION_SETTINGS.benchmarks:
-                rows.extend(
-                    penalty_table(name, {"m": config}, ABLATION_SETTINGS)
-                )
-            out[entries] = sum(r.committed_fills for r in rows)
-        return out
+        sizes = (32, 64, 256)
+        rows = penalty_grid(
+            [PenaltyTable(name, {str(entries): MachineConfig(
+                mechanism="multithreaded", dtlb_entries=entries)})
+             for entries in sizes for name in ABLATION_SETTINGS.benchmarks],
+            ABLATION_SETTINGS,
+        )
+        return {
+            entries: sum(r.committed_fills for r in rows if r.label == str(entries))
+            for entries in sizes
+        }
 
     result = run_once(benchmark, run)
     print(f"\nDTLB reach sweep (total fills): {result}")

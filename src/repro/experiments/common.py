@@ -1,12 +1,18 @@
 """Shared experiment plumbing.
 
-The central routine is :func:`penalty_table`: for one benchmark and a set
-of machine configurations it runs a perfect-TLB baseline plus each
+The central routine is :func:`penalty_grid`: for each
+:class:`PenaltyTable` of an experiment (one benchmark under a set of
+machine configurations) it runs a perfect-TLB baseline plus each
 configuration and reports **penalty cycles per TLB miss**.  Following the
 paper (whose Table 2 miss counts are a property of the *benchmark*, not
 the mechanism), the divisor is a single per-benchmark reference count --
 the committed fills of a designated reference run -- so mechanisms are
 compared on identical footing.
+
+Every experiment resolves its whole grid in **one** :func:`resolve_cells`
+call: one worker pool (or one sweep-service request) sees all of the
+experiment's cells, so the workers stay busy to the end of the grid and
+the parent process simulates nothing itself.
 
 Run lengths scale with the ``REPRO_SCALE`` environment variable
 (default 1) so the same harness serves quick smoke runs and long
@@ -18,13 +24,12 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.isa.program import Program
 from repro.sim.config import MachineConfig
 from repro.sim.parallel import CellSpec, run_cells
-from repro.sim.simulator import SimResult, Simulator
-from repro.workloads.suite import BENCHMARK_NAMES, build_benchmark
+from repro.sim.simulator import SimResult
+from repro.workloads.suite import BENCHMARK_NAMES
 
 
 def _scale() -> float:
@@ -59,6 +64,16 @@ class Settings:
             user_insts=int(12_000 * scale),
             warmup_insts=int(3_000 * scale),
             max_cycles=int(8_000_000 * max(1.0, scale)),
+        )
+
+    def cell(self, workload: str | tuple[str, ...], config: MachineConfig) -> CellSpec:
+        """One simulation of ``workload`` under ``config`` at these run lengths."""
+        return CellSpec(
+            workload=workload,
+            config=config,
+            user_insts=self.user_insts,
+            warmup_insts=self.warmup_insts,
+            max_cycles=self.max_cycles,
         )
 
 
@@ -149,86 +164,66 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-def run_benchmark(
-    factory: Callable[[], Program | list[Program]],
-    config: MachineConfig,
-    settings: Settings,
-) -> SimResult:
-    """One simulation of ``factory``'s program(s) under ``config``."""
-    return Simulator(factory(), config).run(
-        user_insts=settings.user_insts,
-        warmup_insts=settings.warmup_insts,
-        max_cycles=settings.max_cycles,
-    )
+def resolve_cells(specs: list[CellSpec]) -> list[SimResult]:
+    """Resolve one experiment's whole grid, in spec order.
+
+    Against a sweep service when ``REPRO_SERVER`` is set
+    (``repro-experiments --server URL``; see docs/SERVICE.md), else with
+    the local pool runner.  Both are bit-identical: the server runs the
+    same cells under the same cache keys.
+    """
+    server = os.environ.get("REPRO_SERVER", "").strip()
+    if server:
+        from repro.serve.client import run_cells_via_server
+
+        return run_cells_via_server(server, specs)
+    return run_cells(specs)
 
 
-def penalty_table(
-    name: str,
-    configs: dict[str, MachineConfig],
-    settings: Settings,
-    base_config: MachineConfig | None = None,
-    reference_label: str | None = None,
-    factory: Callable[[], Program | list[Program]] | None = None,
-    workload: str | tuple[str, ...] | None = None,
-) -> list[Row]:
-    """Measure one benchmark under several configurations.
+@dataclass
+class PenaltyTable:
+    """One benchmark measured under several configurations.
 
     ``configs`` maps display labels to machine configurations (all
-    non-perfect).  A perfect-TLB baseline derived from ``base_config``
-    (default: the first config) is run automatically.  The reference
-    miss count comes from ``reference_label``'s run (default: the first
-    config's run).
-
+    non-perfect).  A perfect-TLB baseline derived from the first config
+    is run automatically.  The reference miss count comes from
+    ``reference_label``'s run (default: the first config's run).
     ``workload`` names the benchmark (or mix tuple) to build; it
-    defaults to ``name`` and is what lets the cells run through
-    :func:`repro.sim.parallel.run_cells` (fan-out + result cache).  A
-    ``factory`` callable forces the serial in-process path, for callers
-    with programs the worker processes cannot rebuild by name.
+    defaults to ``name``.
     """
-    base = base_config or next(iter(configs.values()))
-    labels = list(configs)
 
-    if factory is not None:
-        perfect = run_benchmark(factory, base.with_mechanism("perfect"), settings)
-        results = {
-            label: run_benchmark(factory, config, settings)
-            for label, config in configs.items()
-        }
-    else:
-        cell = lambda config: CellSpec(  # noqa: E731
-            workload=workload if workload is not None else name,
-            config=config,
-            user_insts=settings.user_insts,
-            warmup_insts=settings.warmup_insts,
-            max_cycles=settings.max_cycles,
-        )
-        specs = [cell(base.with_mechanism("perfect"))]
-        specs += [cell(config) for config in configs.values()]
-        server = os.environ.get("REPRO_SERVER", "").strip()
-        if server:
-            # Resolve the grid against a sweep service
-            # (repro-experiments --server URL; see docs/SERVICE.md).
-            # Results are bit-identical to the local path: the server
-            # runs the same cells under the same cache keys.
-            from repro.serve.client import run_cells_via_server
+    name: str
+    configs: dict[str, MachineConfig]
+    reference_label: str | None = None
+    workload: str | tuple[str, ...] | None = None
 
-            outcomes = run_cells_via_server(server, specs)
-        else:
-            outcomes = run_cells(specs)
-        perfect = outcomes[0]
-        results = dict(zip(labels, outcomes[1:]))
 
-    ref_label = reference_label or labels[0]
-    reference = max(1, results[ref_label].committed_fills)
-    return [
-        Row(
-            benchmark=name,
-            label=label,
-            cycles=result.cycles,
-            perfect_cycles=perfect.cycles,
-            reference_misses=reference,
-            committed_fills=result.committed_fills,
-            ipc=perfect.ipc,
-        )
-        for label, result in results.items()
-    ]
+def penalty_grid(tables: Sequence[PenaltyTable], settings: Settings) -> list[Row]:
+    """Measure every table of an experiment with one :func:`resolve_cells`
+    call; returns the rows table by table, configs in label order."""
+    specs = []
+    for table in tables:
+        workload = table.workload if table.workload is not None else table.name
+        base = next(iter(table.configs.values()))
+        specs.append(settings.cell(workload, base.with_mechanism("perfect")))
+        specs += [settings.cell(workload, c) for c in table.configs.values()]
+    outcomes = iter(resolve_cells(specs))
+    rows = []
+    for table in tables:
+        perfect = next(outcomes)
+        results = {label: next(outcomes) for label in table.configs}
+        ref_label = table.reference_label or next(iter(table.configs))
+        reference = max(1, results[ref_label].committed_fills)
+        rows += [
+            Row(
+                benchmark=table.name,
+                label=label,
+                cycles=result.cycles,
+                perfect_cycles=perfect.cycles,
+                reference_misses=reference,
+                committed_fills=result.committed_fills,
+                ipc=perfect.ipc,
+            )
+            for label, result in results.items()
+        ]
+    return rows

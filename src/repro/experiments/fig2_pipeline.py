@@ -9,7 +9,12 @@ exception return.  Each depth gets its own perfect-TLB baseline.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, Settings, penalty_table
+from repro.experiments.common import (
+    ExperimentResult,
+    PenaltyTable,
+    Settings,
+    penalty_grid,
+)
 from repro.sim.config import MachineConfig
 
 PIPE_DEPTHS = (3, 7, 11)
@@ -18,16 +23,13 @@ PIPE_DEPTHS = (3, 7, 11)
 def run(settings: Settings | None = None) -> ExperimentResult:
     """Measure every row of Figure 2; returns the result grid."""
     settings = settings or Settings.from_env()
-    result = ExperimentResult(name="fig2_pipeline")
     base = MachineConfig(mechanism="traditional")
-    for name in settings.benchmarks:
-        for depth in PIPE_DEPTHS:
-            config = base.with_pipe_depth(depth)
-            label = f"{depth} stages"
-            result.rows.extend(
-                penalty_table(name, {label: config}, settings, base_config=config)
-            )
-    return result
+    tables = [
+        PenaltyTable(name, {f"{depth} stages": base.with_pipe_depth(depth)})
+        for name in settings.benchmarks
+        for depth in PIPE_DEPTHS
+    ]
+    return ExperimentResult("fig2_pipeline", penalty_grid(tables, settings))
 
 
 def main() -> ExperimentResult:

@@ -9,7 +9,12 @@ speed the (serial) trap path up, so the percentage grows with width.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, Settings, penalty_table
+from repro.experiments.common import (
+    ExperimentResult,
+    PenaltyTable,
+    Settings,
+    penalty_grid,
+)
 from repro.sim.config import MachineConfig
 
 WIDTHS = (2, 4, 8)
@@ -18,16 +23,13 @@ WIDTHS = (2, 4, 8)
 def run(settings: Settings | None = None) -> ExperimentResult:
     """Measure every row of Figure 3; returns the result grid."""
     settings = settings or Settings.from_env()
-    result = ExperimentResult(name="fig3_width")
     base = MachineConfig(mechanism="traditional")
-    for name in settings.benchmarks:
-        for width in WIDTHS:
-            config = base.with_width(width)
-            label = f"{width}-wide"
-            result.rows.extend(
-                penalty_table(name, {label: config}, settings, base_config=config)
-            )
-    return result
+    tables = [
+        PenaltyTable(name, {f"{width}-wide": base.with_width(width)})
+        for name in settings.benchmarks
+        for width in WIDTHS
+    ]
+    return ExperimentResult("fig3_width", penalty_grid(tables, settings))
 
 
 def normalized_overheads(result: ExperimentResult, benchmark: str) -> dict[str, float]:

@@ -10,7 +10,12 @@ perfect-TLB baseline absorbs extra speculative cache pollution).
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, Settings, penalty_table
+from repro.experiments.common import (
+    ExperimentResult,
+    PenaltyTable,
+    Settings,
+    penalty_grid,
+)
 from repro.sim.config import MachineConfig
 
 LABELS = ("traditional", "multithreaded(1)", "multithreaded(3)", "hardware")
@@ -29,12 +34,11 @@ def configs() -> dict[str, MachineConfig]:
 def run(settings: Settings | None = None) -> ExperimentResult:
     """Measure every row of Figure 5; returns the result grid."""
     settings = settings or Settings.from_env()
-    result = ExperimentResult(name="fig5_mechanisms")
-    for name in settings.benchmarks:
-        result.rows.extend(
-            penalty_table(name, configs(), settings, reference_label="hardware")
-        )
-    return result
+    tables = [
+        PenaltyTable(name, configs(), reference_label="hardware")
+        for name in settings.benchmarks
+    ]
+    return ExperimentResult("fig5_mechanisms", penalty_grid(tables, settings))
 
 
 def main() -> ExperimentResult:

@@ -9,7 +9,12 @@ of the gap (the paper: ~1.7 of the 2.5-cycle instant-fetch headroom).
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, Settings, penalty_table
+from repro.experiments.common import (
+    ExperimentResult,
+    PenaltyTable,
+    Settings,
+    penalty_grid,
+)
 from repro.sim.config import MachineConfig
 
 
@@ -25,12 +30,11 @@ def configs() -> dict[str, MachineConfig]:
 def run(settings: Settings | None = None) -> ExperimentResult:
     """Measure every row of Figure 6; returns the result grid."""
     settings = settings or Settings.from_env()
-    result = ExperimentResult(name="fig6_quickstart")
-    for name in settings.benchmarks:
-        result.rows.extend(
-            penalty_table(name, configs(), settings, reference_label="hardware")
-        )
-    return result
+    tables = [
+        PenaltyTable(name, configs(), reference_label="hardware")
+        for name in settings.benchmarks
+    ]
+    return ExperimentResult("fig6_quickstart", penalty_grid(tables, settings))
 
 
 def main() -> ExperimentResult:

@@ -10,9 +10,14 @@ fetch/decode bandwidth still matters.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, Settings, penalty_table
+from repro.experiments.common import (
+    ExperimentResult,
+    PenaltyTable,
+    Settings,
+    penalty_grid,
+)
 from repro.sim.config import MachineConfig
-from repro.workloads.suite import FIG7_MIXES, build_mix
+from repro.workloads.suite import FIG7_MIXES
 
 
 def configs() -> dict[str, MachineConfig]:
@@ -28,19 +33,11 @@ def configs() -> dict[str, MachineConfig]:
 def run(settings: Settings | None = None) -> ExperimentResult:
     """Measure every row of Figure 7; returns the result grid."""
     settings = settings or Settings.from_env()
-    result = ExperimentResult(name="fig7_multiprogram")
-    for mix in FIG7_MIXES:
-        label = "-".join(mix)
-        result.rows.extend(
-            penalty_table(
-                label,
-                configs(),
-                settings,
-                reference_label="hardware",
-                workload=mix,
-            )
-        )
-    return result
+    tables = [
+        PenaltyTable("-".join(mix), configs(), reference_label="hardware", workload=mix)
+        for mix in FIG7_MIXES
+    ]
+    return ExperimentResult("fig7_multiprogram", penalty_grid(tables, settings))
 
 
 def main() -> ExperimentResult:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import Settings, run_benchmark
+from repro.experiments.common import Settings, resolve_cells
 from repro.sim.config import MachineConfig
-from repro.workloads.suite import BENCHMARKS, build_benchmark
+from repro.workloads.suite import BENCHMARKS
 
 
 @dataclass
@@ -30,16 +30,15 @@ class SuiteRow:
 def run(settings: Settings | None = None) -> list[SuiteRow]:
     """Measure every row of Table 2; returns the rows."""
     settings = settings or Settings.from_env()
+    config = MachineConfig(mechanism="hardware")
+    outcomes = iter(resolve_cells(
+        [settings.cell(name, cfg) for name in settings.benchmarks
+         for cfg in (config, config.with_mechanism("perfect"))]
+    ))
     rows = []
     for name in settings.benchmarks:
         spec = BENCHMARKS[name]
-        config = MachineConfig(mechanism="hardware")
-        result = run_benchmark(lambda: build_benchmark(name), config, settings)
-        perfect = run_benchmark(
-            lambda: build_benchmark(name),
-            config.with_mechanism("perfect"),
-            settings,
-        )
+        result, perfect = next(outcomes), next(outcomes)
         rows.append(
             SuiteRow(
                 name=spec.name,

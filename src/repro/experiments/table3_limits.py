@@ -13,7 +13,12 @@ from __future__ import annotations
 import dataclasses
 
 from repro.exceptions.limits import LimitKnobs
-from repro.experiments.common import ExperimentResult, Settings, penalty_table
+from repro.experiments.common import (
+    ExperimentResult,
+    PenaltyTable,
+    Settings,
+    penalty_grid,
+)
 from repro.sim.config import MachineConfig
 
 #: Idle contexts for the limit studies (the paper uses 3 to maximise
@@ -45,17 +50,11 @@ def configs() -> dict[str, MachineConfig]:
 def run(settings: Settings | None = None) -> ExperimentResult:
     """Measure every row of Table 3; returns the rows."""
     settings = settings or Settings.from_env()
-    result = ExperimentResult(name="table3_limits")
-    for name in settings.benchmarks:
-        result.rows.extend(
-            penalty_table(
-                name,
-                configs(),
-                settings,
-                reference_label="Hardware TLB miss handler",
-            )
-        )
-    return result
+    tables = [
+        PenaltyTable(name, configs(), reference_label="Hardware TLB miss handler")
+        for name in settings.benchmarks
+    ]
+    return ExperimentResult("table3_limits", penalty_grid(tables, settings))
 
 
 def measured_attribution(settings: Settings | None = None) -> str:

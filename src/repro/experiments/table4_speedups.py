@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import Settings
+from repro.experiments.common import Settings, resolve_cells
 from repro.sim.config import MachineConfig
-from repro.sim.parallel import CellSpec, run_cells
 
 COLUMNS = ("Perfect", "H/W", "Multi(1)", "Multi(3)", "Quick(1)", "Quick(3)")
 
@@ -46,21 +45,10 @@ def run(settings: Settings | None = None) -> list[SpeedupRow]:
     labels = ["traditional", *grid]
     grid["traditional"] = MachineConfig(mechanism="traditional")
 
-    # One flat batch over (benchmark x column): a single run_cells call
-    # maximizes fan-out and lets the result cache share cells with the
-    # other experiments.
-    specs = [
-        CellSpec(
-            workload=name,
-            config=grid[label],
-            user_insts=settings.user_insts,
-            warmup_insts=settings.warmup_insts,
-            max_cycles=settings.max_cycles,
-        )
-        for name in settings.benchmarks
-        for label in labels
-    ]
-    outcomes = run_cells(specs)
+    outcomes = resolve_cells(
+        [settings.cell(name, grid[label])
+         for name in settings.benchmarks for label in labels]
+    )
 
     rows = []
     for bench_idx, name in enumerate(settings.benchmarks):

@@ -2,21 +2,32 @@
 
 Each harness runs with a tiny Settings (two benchmarks, short runs) to
 verify plumbing; the fig5 shape test asserts the paper's headline
-ordering on the two most miss-heavy benchmarks.
+ordering on the two most miss-heavy benchmarks.  The grid tests pin how
+the cells are resolved: one resolver call per experiment, and every
+cell through it (so ``--server`` reaches all of them).
 """
+
+import sys
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import (
+    common,
     fig2_pipeline,
     fig3_width,
     fig5_mechanisms,
     fig6_quickstart,
+    fig7_multiprogram,
     table2_suite,
     table3_limits,
     table4_speedups,
 )
 from repro.experiments.common import ExperimentResult, Row, Settings
+from repro.sim import parallel
+from repro.sim.config import MachineConfig
+from repro.sim.simulator import Simulator
+from repro.workloads.suite import build_benchmark
 
 TINY = Settings(
     user_insts=2_500,
@@ -124,3 +135,102 @@ class TestResultHelpers:
         result = self._tiny_result()
         assert result.cell("a", "m2").cycles == 140
         assert result.cell("zz", "m1") is None
+
+
+STUB = SimpleNamespace(
+    cycles=1_000, committed_fills=10, ipc=1.0, miss_rate_per_kilo_inst=1.0
+)
+
+
+class TestOneGridPerExperiment:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Replace the resolver everywhere it is bound; record each call's
+        specs and answer every cell with a stub result."""
+        calls = []
+
+        def fake(specs):
+            calls.append(list(specs))
+            return [STUB] * len(specs)
+
+        for module in (common, table2_suite, table4_speedups):
+            monkeypatch.setattr(module, "resolve_cells", fake)
+        return calls
+
+    @pytest.mark.parametrize(
+        "module, cells",
+        [
+            (fig2_pipeline, 12),
+            (fig3_width, 12),
+            (table2_suite, 4),
+            (fig5_mechanisms, 10),
+            (table3_limits, 16),
+            (fig6_quickstart, 8),
+            (fig7_multiprogram, 40),
+            (table4_speedups, 14),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)).rsplit(".", 1)[-1],
+    )
+    def test_one_resolver_call(self, calls, module, cells):
+        module.run(TINY)
+        assert [len(specs) for specs in calls] == [cells]
+
+    def test_table2_rows_equal_direct_simulator_runs(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        config = MachineConfig(mechanism="hardware")
+
+        def direct(name, cfg):
+            return Simulator(build_benchmark(name), cfg).run(
+                user_insts=TINY.user_insts,
+                warmup_insts=TINY.warmup_insts,
+                max_cycles=TINY.max_cycles,
+            )
+
+        expected = []
+        for name in TINY.benchmarks:
+            result = direct(name, config)
+            perfect = direct(name, config.with_mechanism("perfect"))
+            spec = table2_suite.BENCHMARKS[name]
+            expected.append(
+                table2_suite.SuiteRow(
+                    name=spec.name,
+                    abbrev=spec.abbrev,
+                    description=spec.description,
+                    tlb_misses=result.committed_fills,
+                    misses_per_kilo_inst=result.miss_rate_per_kilo_inst,
+                    base_ipc=perfect.ipc,
+                )
+            )
+        assert table2_suite.run(TINY) == expected
+
+    def test_server_resolves_table2_and_table4(self, monkeypatch, tmp_path):
+        """With REPRO_SERVER set, every table2 and table4 cell goes to
+        the server and none is simulated by the local runner."""
+        monkeypatch.setenv("REPRO_SERVER", "http://127.0.0.1:9")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        sent = []
+
+        def fake_server(url, specs, warm=False):
+            sent.append(list(specs))
+            return [parallel.run_cell(spec) for spec in specs]
+
+        def local(*args, **kwargs):
+            raise AssertionError("cells resolved by the local runner")
+
+        monkeypatch.setattr("repro.serve.client.run_cells_via_server", fake_server)
+        original = parallel.run_cells
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("repro") and (
+                getattr(module, "run_cells", None) is original
+            ):
+                monkeypatch.setattr(module, "run_cells", local)
+
+        small = Settings(
+            user_insts=600, warmup_insts=200, max_cycles=4_000_000,
+            benchmarks=("compress",),
+        )
+        suite_rows = table2_suite.run(small)
+        speedup_rows = table4_speedups.run(small)
+        assert [len(specs) for specs in sent] == [2, 7]
+        assert suite_rows[0].tlb_misses > 0
+        assert speedup_rows[0].speedups["Perfect"] > 0
