@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         # carries the URL to every grid (experiments.common).
         try:
             SweepClient(args.server).stats()
-        except (ServeError, OSError) as exc:
+        except ServeError as exc:
             parser.error(f"--server {args.server}: {exc}")
         os.environ["REPRO_SERVER"] = args.server
 

@@ -1,10 +1,10 @@
-"""Simulation-as-a-service: the sharded sweep server (docs/SERVICE.md).
+"""Simulation-as-a-service: the sweep server (docs/SERVICE.md).
 
 ``repro.serve`` promotes the one-shot process-pool runner
 (:mod:`repro.sim.parallel`) into a long-running service: an asyncio
 HTTP front end (:mod:`repro.serve.http`) accepts sweep specs as JSON,
 validates and expands them (:func:`~repro.serve.service.expand_sweep`),
-shards cells across persistent worker pools with in-flight dedupe
+runs cells on one persistent worker pool with in-flight dedupe
 (:class:`~repro.serve.service.SweepService`), and serves results from a
 size-bounded content-addressed store with LRU eviction and counters
 (:class:`~repro.serve.store.ContentStore`).  Thin clients -- blocking

@@ -51,14 +51,14 @@ def _add_server_args(parser: argparse.ArgumentParser) -> None:
         help="TCP port (0 picks an ephemeral one)",
     )
     parser.add_argument(
-        "--pools", type=int, default=None, metavar="N",
-        help="worker-pool shards (default REPRO_SERVE_POOLS or 1; "
-        "0 runs cells inline on threads)",
+        "--pools", type=int, default=None, choices=(0, 1),
+        help="1 runs cells in a worker pool, 0 in process (default "
+        "REPRO_SERVE_POOLS or 1)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="processes per pool (default REPRO_SERVE_WORKERS or "
-        "cpu_count/pools)",
+        help="pool processes (default REPRO_SERVE_WORKERS or the CPU "
+        "count)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -138,8 +138,13 @@ def _build_server(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    async def main() -> int:
+    try:
         server = _build_server(args)
+    except ValueError as exc:  # a bad REPRO_* knob: fail at start
+        print(f"repro-serve serve: {exc}", file=sys.stderr)
+        return 2
+
+    async def main() -> int:
         await server.start()
         cluster = (
             f", peers={len(server.service.peers)}"
@@ -235,7 +240,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
-        description="Sharded sweep service over the content-addressed "
+        description="Sweep service over the content-addressed "
         "result store (docs/SERVICE.md).",
     )
     sub = parser.add_subparsers(dest="command", required=True)

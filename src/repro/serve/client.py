@@ -54,6 +54,7 @@ class SweepClient:
     """Blocking client for one sweep server."""
 
     def __init__(self, url: str, timeout: float = 600.0) -> None:
+        self.url = url
         self.host, self.port = split_server_url(url)
         self.timeout = timeout
 
@@ -73,6 +74,8 @@ class SweepClient:
                     f"/stats returned {response.status}: {body.decode()!r}"
                 )
             return json.loads(body)
+        except (OSError, http.client.HTTPException) as exc:
+            raise ServeError(f"GET /stats on {self.url} failed: {exc}") from exc
         finally:
             conn.close()
 
@@ -80,7 +83,8 @@ class SweepClient:
         """POST a sweep spec; yield each NDJSON line as a dict.
 
         Raises :class:`ServeError` on a non-200 status, on an in-stream
-        ``error`` line, or if the stream ends without a ``summary``.
+        ``error`` line, if the stream ends without a ``summary``, or if
+        the server cannot be reached or drops the connection.
         """
         body = json.dumps(payload).encode("utf-8")
         conn = self._connect()
@@ -109,6 +113,8 @@ class SweepClient:
                 yield event
             if not saw_summary:
                 raise ServeError("response stream ended without a summary")
+        except (OSError, http.client.HTTPException) as exc:
+            raise ServeError(f"POST /sweep on {self.url} failed: {exc}") from exc
         finally:
             conn.close()
 

@@ -1,4 +1,4 @@
-"""The sweep service: sharded pools, in-flight dedupe, warm lineage.
+"""The sweep service: one cell executor, in-flight dedupe, warm lineage.
 
 :class:`SweepService` is the long-running heart of ``repro-serve``.  It
 accepts sweep specs (a suite x mechanism x config grid, or an explicit
@@ -11,16 +11,14 @@ through three layers, cheapest first:
 2. the **in-flight table** -- a cell some other request is already
    simulating is awaited, not re-run, so N clients asking for the same
    cell cost one simulation (the ``inflight_hits`` counter);
-3. in cluster mode, the **ring** -- a cell whose consistent-hash owner
-   (:mod:`repro.serve.ring`) is another node is proxied there over one
-   hop and the result verified against its content address; an
-   unreachable owner degrades to local execution;
-4. the **worker pools** -- remaining cells are sharded by content
-   address across one or more persistent ``ProcessPoolExecutor`` pools
-   and submitted one cell per future
-   (:func:`~repro.sim.parallel.run_cell_batch`), exactly like the
-   one-shot runner, so results are bit-identical to ``run_cells`` by
-   construction.
+3. in cluster mode, the **ring** -- a cold cell whose consistent-hash
+   owner (:mod:`repro.serve.ring`) is another node is proxied there
+   over one hop and the result verified against its content address;
+   an unreachable owner degrades to local execution;
+4. the **cell executor** -- remaining cells go to one persistent
+   :class:`~repro.sim.parallel.CellPool`, the same executor (and
+   recovery ladder) the one-shot runner uses, so results are
+   bit-identical to ``run_cells`` by construction.
 
 Sweeps bigger than one connection's patience become persistent *jobs*
 (:mod:`repro.serve.queue`): submitted durably, drained in the
@@ -32,7 +30,8 @@ Warm-checkpoint lineage rides along: a sweep submitted with
 :func:`~repro.sim.parallel.derive_warm_cells`, so a grid sharing a
 workload-family prefix with anything previously simulated (served or
 local) starts from the saved warm snapshot instead of re-warming, and
-the checkpoint hash keys the cell's content address.
+the checkpoint hash keys the cell's content address.  Warm cells never
+leave the node that derived their checkpoint.
 
 Results are deterministic simulations, so every layer is transparent:
 *where* a cell's result came from (store, another request's in-flight
@@ -45,7 +44,6 @@ import asyncio
 import dataclasses
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import AsyncIterator
 
@@ -53,14 +51,7 @@ from repro.serve.queue import JobQueue, JobState
 from repro.serve.ring import HashRing
 from repro.serve.store import ContentStore, _env_int
 from repro.sim.config import MECHANISMS, FUPool, MachineConfig
-from repro.sim.parallel import (
-    CellSpec,
-    _worker_env,
-    _worker_init,
-    derive_warm_cells,
-    run_cell,
-    run_cell_batch,
-)
+from repro.sim.parallel import CellPool, CellSpec, derive_warm_cells
 from repro.sim.simulator import SimResult
 from repro.workloads.suite import BENCHMARK_NAMES
 
@@ -73,15 +64,24 @@ class SweepRequestError(ValueError):
 # Sweep-spec codec: JSON <-> CellSpec, validated for the trust boundary.
 
 def _build_dataclass(cls, data: dict, where: str):
+    """``cls(**data)``, rejecting unknown keys and scalars whose JSON type
+    differs from their field's default (``bool`` and ``int`` apart)."""
     if not isinstance(data, dict):
         raise SweepRequestError(f"{where} must be an object, got {data!r}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
     if unknown:
         raise SweepRequestError(
             f"unknown {where} key(s) {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(names))}"
+            f"known: {', '.join(sorted(fields))}"
         )
+    for name, value in data.items():
+        default = fields[name].default
+        if isinstance(default, (bool, int, str)) and type(value) is not type(default):
+            raise SweepRequestError(
+                f"{where}.{name} must be a {type(default).__name__}, "
+                f"got {value!r}"
+            )
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -102,22 +102,17 @@ def config_from_dict(data: dict) -> MachineConfig:
     if not isinstance(data, dict):
         raise SweepRequestError(f"config must be an object, got {data!r}")
     data = dict(data)
-    if isinstance(data.get("fu_pool"), dict):
+    if data.get("fu_pool") is not None:  # null: derive it from the width
         data["fu_pool"] = _build_dataclass(FUPool, data["fu_pool"], "fu_pool")
-    if isinstance(data.get("hierarchy"), dict):
-        data["hierarchy"] = _build_dataclass(
-            HierarchyConfig, data["hierarchy"], "hierarchy"
-        )
-    if isinstance(data.get("limits"), dict):
-        data["limits"] = _build_dataclass(LimitKnobs, data["limits"], "limits")
+    for name, cls in (("hierarchy", HierarchyConfig), ("limits", LimitKnobs)):
+        if name in data:
+            data[name] = _build_dataclass(cls, data[name], name)
     return _build_dataclass(MachineConfig, data, "config")
 
 
 def _check_workload(workload) -> str | tuple[str, ...]:
-    names = (
-        (workload,) if isinstance(workload, str) else tuple(workload or ())
-    )
-    if not names:
+    names = (workload,) if isinstance(workload, str) else workload
+    if not isinstance(names, (list, tuple)) or not names:
         raise SweepRequestError("workload must be a name or list of names")
     for name in names:
         if name not in BENCHMARK_NAMES:
@@ -125,7 +120,7 @@ def _check_workload(workload) -> str | tuple[str, ...]:
                 f"unknown workload {name!r}; known: "
                 f"{', '.join(BENCHMARK_NAMES)}"
             )
-    return names[0] if isinstance(workload, str) else names
+    return workload if isinstance(workload, str) else tuple(names)
 
 
 def _check_length(value, name: str) -> int:
@@ -137,7 +132,13 @@ def _check_length(value, name: str) -> int:
 
 
 def spec_to_dict(spec: CellSpec) -> dict:
-    """JSON-able form of one cell (the client's wire format)."""
+    """JSON-able form of one cold cell (the client's wire format; warm
+    cells have none, see :func:`spec_from_dict`)."""
+    if spec.warm_from is not None or spec.warm_hash is not None:
+        raise ValueError(
+            "warm cells never cross the wire; send the cold cell with "
+            '"warm": true'
+        )
     return {
         "workload": list(spec.workload)
         if isinstance(spec.workload, tuple)
@@ -146,17 +147,18 @@ def spec_to_dict(spec: CellSpec) -> dict:
         "user_insts": spec.user_insts,
         "warmup_insts": spec.warmup_insts,
         "max_cycles": spec.max_cycles,
-        "warm_hash": spec.warm_hash,
     }
 
 
 def spec_from_dict(data: dict) -> CellSpec:
     """Rebuild one validated :class:`CellSpec` from its wire format.
 
-    ``warm_from`` is deliberately not accepted: a checkpoint *location*
-    is meaningless (and unsafe to trust) across the HTTP boundary.  A
-    client that wants warm sharing sets the sweep-level ``warm`` flag
-    and lets the service derive its own checkpoints.
+    Warm cells are refused: a checkpoint *location* (``warm_from``) is
+    meaningless (and unsafe to trust) across the HTTP boundary, and a
+    ``warm_hash`` names a checkpoint this node never derived.  A client
+    that wants warm sharing sets the sweep-level ``warm`` flag and lets
+    the service derive its own checkpoints.  ``"warm_hash": null``,
+    which older job files carry, is accepted.
     """
     if not isinstance(data, dict):
         raise SweepRequestError(f"cell must be an object, got {data!r}")
@@ -169,9 +171,11 @@ def spec_from_dict(data: dict) -> CellSpec:
         raise SweepRequestError(f"unknown cell key(s) {', '.join(unknown)}")
     if "workload" not in data:
         raise SweepRequestError("cell is missing its workload")
-    warm_hash = data.get("warm_hash")
-    if warm_hash is not None and not isinstance(warm_hash, str):
-        raise SweepRequestError(f"warm_hash must be a string, got {warm_hash!r}")
+    if data.get("warm_hash") is not None:
+        raise SweepRequestError(
+            "warm_hash must be null: warm cells never cross the wire; "
+            'send the cold cell with "warm": true'
+        )
     return CellSpec(
         workload=_check_workload(data["workload"]),
         config=config_from_dict(data.get("config") or {}),
@@ -182,7 +186,6 @@ def spec_from_dict(data: dict) -> CellSpec:
         max_cycles=_check_length(
             data.get("max_cycles", 8_000_000), "max_cycles"
         ),
-        warm_hash=warm_hash,
     )
 
 
@@ -215,9 +218,12 @@ def expand_sweep(payload: dict) -> tuple[list[CellSpec], dict]:
             f"known: {', '.join(sorted(allowed))}"
         )
     options = {
-        "warm": bool(payload.get("warm", False)),
-        "include_results": bool(payload.get("include_results", True)),
+        "warm": payload.get("warm", False),
+        "include_results": payload.get("include_results", True),
     }
+    for flag, value in options.items():
+        if not isinstance(value, bool):
+            raise SweepRequestError(f"{flag} must be true or false, got {value!r}")
 
     if "cells" in payload:
         cells = payload["cells"]
@@ -242,6 +248,11 @@ def expand_sweep(payload: dict) -> tuple[list[CellSpec], dict]:
         configs = payload.get("configs", [{}])
         if not isinstance(configs, list) or not configs:
             raise SweepRequestError("configs must be a non-empty list")
+        for overrides in configs:
+            if not isinstance(overrides, dict):
+                raise SweepRequestError(
+                    f"each config must be an object, got {overrides!r}"
+                )
         user_insts = _check_length(payload.get("user_insts", 12_000), "user_insts")
         warmup = _check_length(payload.get("warmup_insts", 3_000), "warmup_insts")
         max_cycles = _check_length(
@@ -252,9 +263,7 @@ def expand_sweep(payload: dict) -> tuple[list[CellSpec], dict]:
             checked = _check_workload(workload)
             for overrides in configs:
                 for mech in mechanisms:
-                    config = config_from_dict(
-                        {**(overrides or {}), "mechanism": mech}
-                    )
+                    config = config_from_dict({**overrides, "mechanism": mech})
                     specs.append(
                         CellSpec(
                             workload=checked,
@@ -290,24 +299,25 @@ class CellOutcome:
 
 
 def default_pools() -> int:
-    """Shard count from ``REPRO_SERVE_POOLS`` (default 1; 0 = inline
-    thread execution, for tests and tiny deployments)."""
+    """``REPRO_SERVE_POOLS``: 1 (the default) runs cells in a worker
+    pool, 0 in process (tests and tiny deployments)."""
     return _env_int("REPRO_SERVE_POOLS", 1)
 
 
 def default_workers() -> int:
-    """Workers per pool from ``REPRO_SERVE_WORKERS`` (0/unset = CPU
-    count split across pools)."""
+    """Pool processes from ``REPRO_SERVE_WORKERS`` (0/unset = CPU
+    count)."""
     return _env_int("REPRO_SERVE_WORKERS", 0)
 
 
 class SweepService:
-    """Long-running sweep resolver over persistent worker pools.
+    """Long-running sweep resolver over one persistent cell executor.
 
     Single-event-loop object: every public coroutine must run on the
     loop the service was started on.  Simulation and store I/O are
-    pushed off the loop (process pools and the default thread pool), so
-    the loop itself only routes cells and streams results.
+    pushed off the loop (the :class:`~repro.sim.parallel.CellPool` and
+    the default thread pool), so the loop itself only routes cells and
+    streams results.
     """
 
     def __init__(
@@ -322,14 +332,22 @@ class SweepService:
     ) -> None:
         self.store = store if store is not None else ContentStore()
         self.pools = default_pools() if pools is None else pools
+        if self.pools not in (0, 1):
+            raise ValueError(
+                f"pools must be 0 (in process) or 1 (one worker pool), "
+                f"got {self.pools}"
+            )
         self.workers = default_workers() if workers is None else workers
+        #: The one cell executor (it validates its knobs now, at start).
+        self.pool = CellPool(
+            (self.workers or os.cpu_count() or 1) if self.pools else 0
+        )
         self.started = time.time()
         self.requests = 0
         self.cells_requested = 0
         self.cells_simulated = 0
         #: content address -> future resolving to a SimResult.
         self._inflight: dict[str, asyncio.Future] = {}
-        self._executors: list[Executor | None] | None = None
         # -- cluster membership (docs/SERVICE.md "Cluster mode") --------
         #: This node's advertised base URL; None = single-host mode.
         self.node_id = node_id
@@ -355,58 +373,8 @@ class SweepService:
         self.queue = queue
         self._job_tasks: dict[str, asyncio.Task] = {}
 
-    # -- pools ----------------------------------------------------------
-    def _shards(self) -> list[Executor | None]:
-        """The persistent executors, one per shard (lazily created).
-        ``None`` entries mean "run on the default thread executor" --
-        the inline mode used when ``pools == 0``."""
-        if self._executors is None:
-            if self.pools <= 0:
-                self._executors = [None]
-            else:
-                self._executors = [
-                    self._make_pool() for _ in range(self.pools)
-                ]
-        return self._executors
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        """One shard's pool: ``workers`` processes, else the CPU count
-        split across the pools."""
-        return ProcessPoolExecutor(
-            max_workers=self.workers
-            or max(1, (os.cpu_count() or 1) // self.pools),
-            initializer=_worker_init,
-            initargs=(_worker_env(),),
-        )
-
-    def _replace_pool(
-        self, shard: int, failed: Executor | None
-    ) -> Executor | None:
-        """The executor to retry on after ``failed`` raised under a cell.
-
-        Only the first cell to report a failed pool replaces it: a cell
-        that failed on the same pool later finds the replacement already
-        installed and retries there, instead of shutting down a pool
-        other cells are retrying on.  The old pool is shut down without
-        cancelling its queue -- a broken pool has already failed every
-        queued cell, and a healthy one (a cell that raised on its own)
-        finishes the cells it holds.
-        """
-        executors = self._shards()
-        if executors[shard] is failed and isinstance(
-            failed, ProcessPoolExecutor
-        ):
-            failed.shutdown(wait=False)
-            executors[shard] = self._make_pool()
-        return executors[shard]
-
-    def _shard_for(self, key: str) -> int:
-        """Stable shard of a content address (hex-prefix mod pools)."""
-        shards = self._shards()
-        return int(key[:8], 16) % len(shards)
-
     def close(self) -> None:
-        """Tear down the worker pools and job drains (idempotent).
+        """Tear down the cell executor and job drains (idempotent).
 
         Job *state* survives closing by construction -- everything
         durable is already on disk -- so cancelled drains resume on the
@@ -416,11 +384,7 @@ class SweepService:
             if not task.done():
                 task.cancel()
         self._job_tasks = {}
-        if self._executors:
-            for executor in self._executors:
-                if executor is not None:
-                    executor.shutdown(wait=False, cancel_futures=True)
-        self._executors = None
+        self.pool.close()
 
     # -- resolution -----------------------------------------------------
     async def stream_cells(
@@ -432,10 +396,11 @@ class SweepService:
         """Resolve ``specs``, yielding ``(index, outcome)`` as each cell
         completes (ragged order; indices are spec positions).
 
-        In cluster mode, cells whose ring owner is another node are
+        In cluster mode, cold cells whose ring owner is another node are
         proxied there (``forward=False`` pins everything local -- the
         handler for already-forwarded requests, which is what bounds
-        every cell to at most one hop).
+        every cell to at most one hop).  A warm cell always runs here,
+        where its checkpoint was derived.
         """
         loop = asyncio.get_running_loop()
         if warm:
@@ -466,7 +431,7 @@ class SweepService:
                 continue
             future = loop.create_future()
             self._inflight[key] = future
-            owner = self._owner_of(key) if forward else None
+            owner = self._owner_of(key) if forward and spec.warm_from is None else None
             if owner is not None:
                 to_forward.append((key, spec, owner))
             else:
@@ -475,7 +440,7 @@ class SweepService:
                 to_start.append((key, spec))
             waiting.append((index, spec, key, False, future))
 
-        for key, spec in await self._attach_wire_warm(to_start):
+        for key, spec in to_start:
             asyncio.ensure_future(self._simulate(key, spec))
         for key, spec, owner in to_forward:
             asyncio.ensure_future(self._forward_cell(key, spec, owner))
@@ -502,58 +467,6 @@ class SweepService:
         async for index, outcome in self.stream_cells(specs, warm=warm):
             outcomes[index] = outcome
         return outcomes  # type: ignore[return-value]
-
-    async def _attach_wire_warm(
-        self, to_start: list[tuple[str, CellSpec]]
-    ) -> list[tuple[str, CellSpec]]:
-        """Rehydrate *wire-warm* cells (a ``warm_hash`` without a local
-        checkpoint) before they run here.
-
-        ``warm_from`` is a local path and never crosses the HTTP
-        boundary, so a forwarded warm cell arrives as its hash alone.
-        Running it as-is would simulate **cold** yet file the result
-        under the warm-keyed content address -- the same address would
-        hold different bits depending on routing.  Instead the
-        checkpoint is re-derived locally (deterministic, so usually a
-        cache probe) and the derived digest must equal the wire one; a
-        cell whose checkpoint cannot be reproduced fails its waiters
-        rather than poisoning the store.
-        """
-        loop = asyncio.get_running_loop()
-        out: list[tuple[str, CellSpec]] = []
-        for key, spec in to_start:
-            if spec.warm_hash is None or spec.warm_from is not None:
-                out.append((key, spec))
-                continue
-            try:
-                rehydrated = await loop.run_in_executor(
-                    None, self._rederive_warm, spec
-                )
-            except Exception as exc:
-                future = self._inflight.pop(key, None)
-                if future is not None and not future.done():
-                    future.set_exception(exc)
-                continue
-            out.append((key, rehydrated))
-        return out
-
-    @staticmethod
-    def _rederive_warm(spec: CellSpec) -> CellSpec:
-        """(Thread executor.)  Rebuild the warm checkpoint a wire-warm
-        cell refers to and attach it, verifying the digest."""
-        if not spec.warmup_insts:
-            raise SweepRequestError(
-                "cell carries a warm_hash but no warmup to derive it from"
-            )
-        derived = derive_warm_cells(
-            [dataclasses.replace(spec, warm_hash=None)]
-        )[0]
-        if derived.warm_hash != spec.warm_hash:
-            raise SweepRequestError(
-                f"cannot reproduce warm checkpoint {spec.warm_hash}: "
-                f"derived {derived.warm_hash}"
-            )
-        return derived
 
     # -- cluster routing ------------------------------------------------
     def _owner_of(self, key: str) -> str | None:
@@ -600,9 +513,7 @@ class SweepService:
         # repeat sweeps here are store hits and the cell survives the
         # owner's death (warm-handoff's standing counterpart).
         await loop.run_in_executor(None, self.store.put, spec, result)
-        future = self._inflight.pop(key, None)
-        if future is not None and not future.done():
-            future.set_result(result)
+        self._publish(key, result)
 
     def node_info(self) -> dict:
         """This node's identity + routing counters (manifest ``node``
@@ -731,6 +642,8 @@ class SweepService:
         assert self.queue is not None
         loop = asyncio.get_running_loop()
         state = await loop.run_in_executor(None, self.queue.load, job_id)
+        # Decode before claiming, so a bad cell strands no live claims.
+        specs = {index: spec_from_dict(state.cells[index]) for index in state.pending}
         claimed = [
             index
             for index in state.pending
@@ -740,11 +653,11 @@ class SweepService:
         ]
         if not claimed:
             return
-        specs = [spec_from_dict(state.cells[index]) for index in claimed]
         finished: set[int] = set()
         try:
             async for pos, outcome in self.stream_cells(
-                specs, warm=bool(state.options.get("warm", False))
+                [specs[index] for index in claimed],
+                warm=bool(state.options.get("warm", False)),
             ):
                 index = claimed[pos]
                 await loop.run_in_executor(
@@ -818,42 +731,37 @@ class SweepService:
 
     # -- simulation -----------------------------------------------------
     async def _simulate(self, key: str, spec: CellSpec) -> None:
-        """Simulate one cell on its shard and publish it to its waiters.
+        """Run one cell on the executor and publish it to its waiters.
 
-        Mirrors the one-shot runner's self-healing ladder: a failure on
-        the shard's pool (worker crash, broken pool) retries once on a
-        rebuilt pool (:meth:`_replace_pool`), then in-process on the
-        thread executor, which cannot crash away.  A cell that *still*
-        raises fails deterministically; the error goes to every waiter
-        (re-running it could only fail identically), never swallowed.
+        How a cell runs and recovers is the executor's business (see
+        :class:`~repro.sim.parallel.CellPool`).  A cell that still fails
+        resolves every waiter with its error (re-running it could only
+        fail identically), never hangs them.
         """
-        loop = asyncio.get_running_loop()
-        shard = self._shard_for(key)
-        executor = self._shards()[shard]
         try:
-            try:
-                (result,) = await loop.run_in_executor(
-                    executor, run_cell_batch, [spec]
-                )
-            except Exception:
-                try:
-                    (result,) = await loop.run_in_executor(
-                        self._replace_pool(shard, executor),
-                        run_cell_batch,
-                        [spec],
-                    )
-                except Exception:
-                    result = await loop.run_in_executor(None, run_cell, spec)
+            result = await asyncio.wrap_future(self.pool.submit(spec))
         except Exception as exc:
-            future = self._inflight.pop(key, None)
-            if future is not None and not future.done():
-                future.set_exception(exc)
+            self._publish(key, error=exc)
             return
+        loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.store.put, spec, result)
         self.cells_simulated += 1
+        self._publish(key, result)
+
+    def _publish(
+        self,
+        key: str,
+        result: SimResult | None = None,
+        error: Exception | None = None,
+    ) -> None:
+        """Hand an in-flight cell's result (or error) to its waiters."""
         future = self._inflight.pop(key, None)
-        if future is not None and not future.done():
+        if future is None or future.done():
+            return
+        if error is None:
             future.set_result(result)
+        else:
+            future.set_exception(error)
 
     # -- stats ----------------------------------------------------------
     def stats_dict(self) -> dict:

@@ -102,7 +102,7 @@ class ContentStore(ResultCache):
     # ------------------------------------------------------------------
     def key(self, spec: CellSpec) -> str:
         """The cell's content address (the hash the pickle is filed
-        under); in-flight dedupe and sharding both key on this."""
+        under); in-flight dedupe and ring placement both key on this."""
         return self._path(spec).stem
 
     def get(self, spec: CellSpec) -> SimResult | None:

@@ -12,6 +12,9 @@ for a co-scheduled mix), never a ``Program`` object or factory closure.
 Workers rebuild the programs from the name, which is cheap next to the
 simulation itself.
 
+Cells run in worker processes through one :class:`CellPool`, shared by
+:func:`run_cells` and the sweep service (:mod:`repro.serve`).
+
 Environment knobs:
 
 ``REPRO_JOBS``
@@ -21,15 +24,15 @@ Environment knobs:
     and parallel paths (each simulation is deterministic and fully
     isolated in its own process).
 ``REPRO_JOB_TIMEOUT``
-    Per-cell wall-clock budget in seconds for pool workers.  A wave of
-    cells that exceeds its collective budget is treated as hung: the
-    pool is killed and the unfinished cells are retried (see
-    ``REPRO_RETRIES``).  ``0``/unset disables the timeout.  The serial
-    path never times out -- a cell that must finish always can.
+    Limit in seconds on one cell's own run time in a pool worker (time
+    queued never counts).  An overrun is interrupted inside the worker,
+    which stays healthy, and the cell is retried.  ``0``/unset disables
+    it.  The in-process path never times out -- a cell that must
+    finish always can.
 ``REPRO_RETRIES``
-    How many times a cell lost to a crashed or hung worker is re-run in
-    a fresh pool (default ``2``) before degrading to the in-process
-    serial path.  Retries back off linearly (0.25 s per attempt).
+    How many times a cell that failed in the pool (crashed worker,
+    timeout, or error) is resubmitted (default ``2``, linear backoff of
+    0.25 s per attempt) before it runs in process.
 ``REPRO_ENGINE``
     Cycle kernel for every cell (``reference`` or ``batched``, see
     :mod:`repro.engine`).  The kernels are differentially verified to be
@@ -57,12 +60,21 @@ code change can never serve stale results.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 import pickle
+import signal
+import threading
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    Future,
+    InvalidStateError,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,13 +181,33 @@ def run_cell(spec: CellSpec, engine: str | None = None) -> SimResult:
     )
 
 
+def _on_cell_timeout(signum, frame) -> None:
+    raise TimeoutError("cell ran longer than REPRO_JOB_TIMEOUT")
+
+
 def run_cell_batch(
-    specs: list[CellSpec], engine: str | None = None
+    specs: list[CellSpec], engine: str | None = None, timeout: float = 0.0
 ) -> list[SimResult]:
     """Run ``specs`` one after another with :func:`run_cell`, in spec
-    order.  The pool-worker entry point: the runner and the sweep
-    service submit every cell through here (one cell per call)."""
-    return [run_cell(spec, engine) for spec in specs]
+    order.  The pool-worker entry point: :class:`CellPool` submits every
+    cell through here (one cell per call).
+
+    ``timeout`` > 0 limits each cell's run time with a ``SIGALRM`` timer,
+    so it needs the main thread (a pool worker's): an overrun raises
+    ``TimeoutError`` and leaves the process healthy.  The alarm
+    interrupts Python bytecode only.
+    """
+    if not timeout:
+        return [run_cell(spec, engine) for spec in specs]
+    signal.signal(signal.SIGALRM, _on_cell_timeout)
+    results = []
+    for spec in specs:
+        signal.setitimer(signal.ITIMER_REAL, timeout)
+        try:
+            results.append(run_cell(spec, engine))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    return results
 
 
 def derive_warm_cells(specs: list[CellSpec]) -> list[CellSpec]:
@@ -514,74 +546,128 @@ def max_retries() -> int:
     return value
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down *now*, including any wedged workers.
-
-    ``shutdown(wait=True)`` would block behind a hung cell forever, so
-    the workers are terminated first; ``cancel_futures`` stops queued
-    work from restarting on them."""
-    for proc in list(getattr(pool, "_processes", {}).values()):
-        try:
-            proc.terminate()
-        except OSError:
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_pool_attempt(
-    todo: list[CellSpec],
-    pending: list[int],
-    out: list[SimResult | None],
-    workers: int,
-    timeout: float,
-) -> list[int]:
-    """One pool generation: run ``pending`` cells, fill ``out``, and
-    return the indices still unfinished (crashed or hung).
-
-    Each cell is its own future (:func:`run_cell_batch` of one spec).
-    A worker crash surfaces as ``BrokenProcessPool`` on every
-    outstanding future -- those cells stay pending and the *caller*
-    decides whether another generation is allowed.  With a timeout,
-    each wave of ``workers`` cells gets ``timeout`` seconds of the
-    collective deadline; when it passes, whatever is still running is
-    treated as hung and the whole pool is killed (there is no portable
-    way to kill one worker's job without killing the worker).
-    """
-    deadline = None
-    if timeout > 0:
-        waves = (len(pending) + workers - 1) // workers
-        deadline = time.monotonic() + timeout * waves
-    pool = ProcessPoolExecutor(
-        max_workers=min(workers, len(pending)),
-        initializer=_worker_init,
-        initargs=(_worker_env(),),
-    )
+def _resolve(future: Future, result=None, error: Exception | None = None) -> None:
+    """Settle ``future`` unless it was cancelled meanwhile."""
     try:
-        futures = {
-            pool.submit(run_cell_batch, [todo[i]]): i for i in pending
-        }
-        not_done = set(futures)
-        while not_done:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break  # hung wave: unfinished cells stay pending
-            done, not_done = wait(
-                not_done, timeout=remaining, return_when=FIRST_COMPLETED
+        future.set_result(result) if error is None else future.set_exception(error)
+    except InvalidStateError:
+        pass
+
+
+class CellPool:
+    """A persistent, self-healing executor: :meth:`submit` returns a
+    :class:`~concurrent.futures.Future` of the cell's :class:`SimResult`.
+
+    The ladder, per cell: (1) one pool future, ``run_cell_batch([spec])``
+    -- the name is looked up at submit time, so a wrapper installed on
+    this module sees every pool cell; (2) on a crashed worker, a
+    ``REPRO_JOB_TIMEOUT`` overrun, or an exception from the cell, at
+    most ``REPRO_RETRIES`` resubmits with linear backoff -- a broken
+    pool is replaced only while it is still the current pool, so cells
+    lost together share one rebuild; (3) then a run in process, with no
+    timeout, whose exception fails the future.
+
+    Backoff waits and in-process runs happen on one helper thread, never
+    on the submitting thread (the service's event loop) or the pool's.
+    ``workers == 0`` has no pool: cells run in process on that thread.
+    Both knobs are read once, here, so a bad value fails at construction.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self.timeout = job_timeout()
+        self.retries = max_retries()
+        self._pool: ProcessPoolExecutor | None = None
+        self._lock = threading.Lock()
+        self._closed = False
+        self._helper = ThreadPoolExecutor(1, thread_name_prefix="repro-cells")
+
+    def submit(self, spec: CellSpec) -> Future:
+        """Start ``spec`` up the ladder; never blocks."""
+        outer: Future = Future()
+        if self.workers:
+            self._attempt(spec, outer, 0)
+        else:
+            self._defer(outer, self._run_here, spec, outer)
+        return outer
+
+    def close(self) -> None:
+        """Stop now (idempotent): terminate the workers, wedged ones too,
+        and cancel every cell not yet resolved."""
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        self._helper.shutdown(wait=False, cancel_futures=True)
+        if pool is not None:
+            for proc in list((getattr(pool, "_processes", None) or {}).values()):
+                proc.terminate()
+            pool.shutdown(wait=False, cancel_futures=True)
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        """The pool factory: one call per pool built."""
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_worker_init,
+            initargs=(_worker_env(),),
+        )
+
+    def _attempt(self, spec: CellSpec, outer: Future, attempt: int) -> None:
+        pool = None
+        try:
+            with self._lock:
+                if self._closed:
+                    raise RuntimeError("the cell pool is closed")
+                if self._pool is None:
+                    self._pool = self._new_pool()
+                pool = self._pool
+            inner = pool.submit(run_cell_batch, [spec], timeout=self.timeout)
+        except Exception as exc:  # a broken or closed pool, or none at all
+            inner = Future()
+            inner.set_exception(exc)
+        inner.add_done_callback(
+            functools.partial(self._settle, spec, outer, attempt, pool)
+        )
+
+    def _settle(self, spec, outer, attempt, pool, inner: Future) -> None:
+        """Pass a pool attempt's result on, or queue the next rung."""
+        try:
+            (result,) = inner.result()
+        except Exception as exc:
+            self._defer(
+                outer, self._recover, spec, outer, attempt, pool, exc, time.monotonic()
             )
-            if not done:
-                break  # timed out inside wait()
-            for future in done:
-                try:
-                    (out[futures[future]],) = future.result()
-                except Exception:
-                    # This cell's worker died (or the pool broke under
-                    # it); leave it unfinished for the retry loop.
-                    continue
-    finally:
-        _kill_pool(pool)
-    return [i for i in pending if out[i] is None]
+        else:
+            _resolve(outer, result)
+
+    def _recover(self, spec, outer, attempt, pool, exc, failed_at: float) -> None:
+        """(Helper thread.)  Replace a broken pool, then retry or run here."""
+        if isinstance(exc, BrokenProcessPool):
+            with self._lock:
+                if self._pool is pool:
+                    self._pool = None
+                    pool.shutdown(wait=False)
+        if attempt >= self.retries:
+            self._run_here(spec, outer)
+            return
+        time.sleep(max(0.0, failed_at + 0.25 * (attempt + 1) - time.monotonic()))
+        self._attempt(spec, outer, attempt + 1)
+
+    def _run_here(self, spec: CellSpec, outer: Future) -> None:
+        """(Helper thread.)  The last rung: run in this process."""
+        try:
+            _resolve(outer, run_cell(spec))
+        except Exception as exc:
+            _resolve(outer, error=exc)
+
+    def _defer(self, outer: Future, step, *args) -> None:
+        """Run ``step(*args)`` on the helper thread; ``outer`` is
+        cancelled if the step never runs (the pool closed first)."""
+        try:
+            work = self._helper.submit(step, *args)
+        except RuntimeError:
+            outer.cancel()
+            return
+        work.add_done_callback(lambda done: done.cancelled() and outer.cancel())
 
 
 def run_cells(
@@ -593,16 +679,16 @@ def run_cells(
     spec order.
 
     Cached results are returned without running anything; the rest fan
-    out over ``jobs`` worker processes (serially for ``jobs <= 1`` or a
-    single missing cell).  The pool path is self-healing: cells lost to
-    a crashed worker or a hung wave (``REPRO_JOB_TIMEOUT``) are retried
-    in a fresh pool up to ``REPRO_RETRIES`` times with linear backoff,
-    and whatever still isn't done -- or any failure to parallelise at
-    all, e.g. exec-based platforms that cannot pickle -- degrades to
-    the in-process serial path rather than failing the experiment.
+    out over ``jobs`` worker processes through a :class:`CellPool`
+    (serially in this thread for ``jobs <= 1`` or a single missing
+    cell).  The pool path is self-healing per cell: a cell lost to a
+    crashed worker, a ``REPRO_JOB_TIMEOUT`` overrun, or an error is
+    resubmitted up to ``REPRO_RETRIES`` times, then runs in process --
+    as does every cell when the platform cannot parallelise at all.
     Results are bit-identical across all of these paths: every cell is
     a deterministic, isolated simulation, so *where* it runs (first
-    pool, retry pool, or serial) cannot change *what* it computes.
+    pool, retry, or in process) cannot change *what* it computes.  A
+    cell that fails in process too raises here.
     """
     if jobs is None:
         # Cells are pure CPU: more workers than cores is pure overhead,
@@ -630,27 +716,16 @@ def run_cells(
 
     if missing:
         todo = [specs[idx] for idx in missing]
-        fresh: list[SimResult | None] = [None] * len(todo)
         workers = min(jobs, len(todo))
         if workers > 1:
-            pending = list(range(len(todo)))
-            timeout = job_timeout()
-            for attempt in range(max_retries() + 1):
-                if not pending:
-                    break
-                if attempt:
-                    time.sleep(0.25 * attempt)  # linear backoff
-                try:
-                    pending = _run_pool_attempt(
-                        todo, pending, fresh, workers, timeout
-                    )
-                except Exception:
-                    break  # cannot parallelise at all: go serial
-        # Serial completion: anything the pool never produced (no pool,
-        # retries exhausted, or an unparallelisable platform).
-        for pos, spec in enumerate(todo):
-            if fresh[pos] is None:
-                fresh[pos] = run_cell(spec)
+            pool = CellPool(workers)
+            try:
+                futures = [pool.submit(spec) for spec in todo]
+                fresh = [future.result() for future in futures]
+            finally:
+                pool.close()
+        else:
+            fresh = [run_cell(spec) for spec in todo]
         for idx, spec, result in zip(missing, todo, fresh):
             results[idx] = result
             cache.put(spec, result)

@@ -103,33 +103,33 @@ class TestForwarding:
             run_cell(spec)
         )
 
-    def test_wire_warm_cell_resolves_warm_on_the_peer(
-        self, pair, tmp_path, monkeypatch
-    ):
-        """POST /cell with a warm-keyed spec: the wire strips
-        ``warm_from``, so the peer must re-derive the checkpoint before
-        resolving -- running it as-is would file *cold* bits under the
-        warm-keyed content address."""
-        monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path / "ckpt"))
+    def test_wire_warm_cell_is_a_400(self, pair):
+        """POST /cell with a non-null ``warm_hash``: warm cells never
+        cross the wire, so the peer refuses the cell outright."""
         a, b = pair
-        warm_spec = derive_warm_cells([make_grid()[0]])[0]
-        assert warm_spec.warm_hash is not None
-        key, result = forward_cell(b.url, spec_to_dict(warm_spec))
-        assert key == b.server.service.store.key(warm_spec)
-        assert dataclasses.asdict(result) == dataclasses.asdict(
-            run_cell(warm_spec)
-        )
+        cell = {**spec_to_dict(make_grid()[0]), "warm_hash": "ab" * 8}
+        with pytest.raises(ServeError, match="400"):
+            forward_cell(b.url, cell)
 
     def test_warm_sweep_spans_the_ring_bit_identically(
         self, pair, tmp_path, monkeypatch
     ):
-        """A ``"warm": true`` sweep submitted to one node: cells whose
-        ring owner is the peer are forwarded as warm-keyed wire specs
-        and must come back bit-identical to local warm runs."""
+        """A ``"warm": true`` sweep submitted to one node: warm cells
+        are pinned to the node that derived their checkpoint -- nothing
+        is forwarded -- and come back bit-identical to local warm
+        runs."""
         monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path / "ckpt"))
         a, b = pair
-        specs = make_grid()
+        # 12 distinct cells, so the ring essentially never gives node A
+        # all of them and the pin is exercised.
+        specs = [
+            dataclasses.replace(spec, user_insts=spec.user_insts + delta)
+            for delta in (0, 17, 34)
+            for spec in make_grid()
+        ]
         warm_specs = derive_warm_cells(specs)
+        ring, store_a = a.server.service.ring, a.server.service.store
+        assert any(ring.owner(store_a.key(ws)) == b.url for ws in warm_specs)
         served = run_cells_via_server(a.url, specs, warm=True)
         for warm_spec, result in zip(warm_specs, served):
             assert dataclasses.asdict(result) == dataclasses.asdict(
@@ -137,7 +137,8 @@ class TestForwarding:
             )
         node_a = a.server.service.stats_dict()["node"]
         assert node_a["fallbacks"] == 0
-        assert node_a["owned"] + node_a["forwarded"] == len(specs)
+        assert node_a["forwarded"] == 0
+        assert node_a["owned"] == len(specs)
 
     def test_warm_handoff_pulls_exactly_the_owned_keys(self, pair, tmp_path):
         """A restarted member with an empty store pulls from a peer

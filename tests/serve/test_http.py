@@ -15,6 +15,7 @@ from repro.serve.client import (
     async_sweep,
     run_cells_via_server,
     split_server_url,
+    submit_job,
 )
 from repro.serve.service import spec_to_dict
 from repro.sim.parallel import run_cell
@@ -178,3 +179,25 @@ class TestEndToEnd:
                 assert "Content-Length" in json.loads(response.read())["error"]
             finally:
                 conn.close()
+
+    def test_malformed_config_is_a_400_on_sweep_and_jobs(self, tmp_path):
+        """A config that is not an object is a 400 from both routes that
+        expand sweeps -- not a dropped connection."""
+        payload = {"workloads": ["compress"], "configs": [[1]]}
+        with ServerThread(tmp_path / "store", jobs_dir=tmp_path / "jobs") as server:
+            with pytest.raises(ServeError, match="400"):
+                list(SweepClient(server.url).sweep(payload))
+            with pytest.raises(ServeError, match="400.*must be an object"):
+                submit_job(server.url, payload)
+
+
+class TestCli:
+    def test_commands_report_a_down_server_without_a_traceback(self, capsys):
+        from repro.serve.cli import main
+        from repro.serve.cluster import pick_ports
+
+        (port,) = pick_ports(1)  # free, so nothing is listening there
+        url = f"http://127.0.0.1:{port}"
+        assert main(["stats", "--server", url]) == 1
+        assert main(["sweep", "--server", url]) == 1
+        assert "failed" in capsys.readouterr().err

@@ -212,3 +212,43 @@ class TestRestartResume:
         final = survivor.load(job_id)
         assert final.complete
         assert final.duplicate_done == 0
+
+
+class TestDrain:
+    def test_cells_with_a_null_warm_hash_still_drain(self, tmp_path):
+        """Job files written before warm cells left the wire format
+        carry ``"warm_hash": null`` in every cell; they must drain."""
+        import asyncio
+
+        from tests.serve.helpers import make_service
+
+        cells = [{**cell, "warm_hash": None} for cell in wire_cells()[:2]]
+        service = make_service(tmp_path / "store", jobs_dir=tmp_path / "jobs")
+        try:
+            job_id = service.queue.submit(cells)
+            asyncio.run(service._drain_job(job_id))
+        finally:
+            service.close()
+        state = service.queue.load(job_id)
+        assert state.complete
+        assert state.duplicate_done == 0
+
+    def test_undecodable_cell_strands_no_claims(self, tmp_path):
+        """A job whose cells cannot all be decoded fails its drain
+        before claiming anything, so no claim outlives the attempt."""
+        import asyncio
+
+        from repro.serve.service import SweepRequestError
+        from tests.serve.helpers import make_service
+
+        cells = wire_cells()[:2]
+        cells[1] = {**cells[1], "warm_hash": "ab" * 8}
+        service = make_service(tmp_path / "store", jobs_dir=tmp_path / "jobs")
+        try:
+            job_id = service.queue.submit(cells)
+            with pytest.raises(SweepRequestError, match="warm_hash"):
+                asyncio.run(service._drain_job(job_id))
+        finally:
+            service.close()
+        assert not list((tmp_path / "jobs").rglob("*.claim"))
+        assert service.queue.load(job_id).pending == [0, 1]

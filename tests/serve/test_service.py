@@ -1,5 +1,5 @@
 """The sweep service core: spec codec, dedupe, bit-identity, failure,
-and recovery from a crashed pool worker."""
+and recovery from crashed and hung pool workers."""
 
 from __future__ import annotations
 
@@ -55,6 +55,19 @@ class TestCodec:
         with pytest.raises(SweepRequestError, match="unknown cell key"):
             spec_from_dict({"workload": "compress", "warm_from": "/tmp/x"})
 
+    def test_warm_cells_have_no_wire_format(self):
+        """Warm cells run where their checkpoint was derived: neither
+        side of the codec carries one, but the null ``warm_hash`` that
+        older job files hold still decodes."""
+        warm = dataclasses.replace(make_spec(), warm_hash="ab" * 8)
+        with pytest.raises(ValueError, match="warm"):
+            spec_to_dict(warm)
+        with pytest.raises(SweepRequestError, match="warm_hash must be null"):
+            spec_from_dict({"workload": "compress", "warm_hash": "ab" * 8})
+        cold = make_spec()
+        assert "warm_hash" not in spec_to_dict(cold)
+        assert spec_from_dict({**spec_to_dict(cold), "warm_hash": None}) == cold
+
     def test_negative_lengths_are_rejected(self):
         with pytest.raises(SweepRequestError, match="user_insts"):
             spec_from_dict({"workload": "compress", "user_insts": -1})
@@ -93,6 +106,39 @@ class TestExpandSweep:
             ({"cells": []}, "non-empty list"),
             ({"sweeps": [1]}, "unknown sweep key"),
             ([1, 2], "must be a JSON object"),
+            ({"workloads": ["compress"], "configs": [[1]]}, "must be an object"),
+            ({"workloads": ["compress"], "configs": ["abc"]}, "must be an object"),
+            ({"workloads": [1]}, "name or list of names"),
+            ({"workloads": ["compress"], "warm": "false"}, "warm must be"),
+            ({"workloads": ["compress"], "include_results": 1}, "include_results"),
+            ({"workloads": ["compress"], "configs": [{"fu_pool": 5}]}, "fu_pool must"),
+            (
+                {"workloads": ["compress"], "configs": [{"hierarchy": []}]},
+                "hierarchy must be an object",
+            ),
+            (
+                {"workloads": ["compress"], "configs": [{"limits": "x"}]},
+                "limits must be an object",
+            ),
+            (
+                {"workloads": ["compress"], "configs": [{"idle_threads": "x"}]},
+                "idle_threads must be a int",
+            ),
+            (
+                {"workloads": ["compress"], "configs": [{"width": True}]},
+                "width must be a int",
+            ),
+            (
+                {"workloads": ["compress"], "configs": [{"align_check": 1}]},
+                "align_check must be a bool",
+            ),
+            (
+                {
+                    "workloads": ["compress"],
+                    "configs": [{"limits": {"instant_fetch": "yes"}}],
+                },
+                "instant_fetch must be a bool",
+            ),
         ],
     )
     def test_bad_requests_are_rejected(self, payload, match):
@@ -169,13 +215,13 @@ class TestResolution:
     ):
         """A cell that fails deterministically must error out every
         waiter -- including deduped ones -- never hang them."""
-        import repro.serve.service as service_mod
+        import repro.sim.parallel as parallel
 
         def boom(*args, **kwargs):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr(service_mod, "run_cell_batch", boom)
-        monkeypatch.setattr(service_mod, "run_cell", boom)
+        monkeypatch.setattr(parallel, "run_cell_batch", boom)
+        monkeypatch.setattr(parallel, "run_cell", boom)
         service = make_service(tmp_path)
         spec = make_spec()
 
@@ -200,9 +246,9 @@ class TestResolution:
             store=ContentStore(tmp_path / "store"), pools=1, workers=2
         )
         pools_made = []
-        make_pool = service._make_pool
+        make_pool = service.pool._new_pool
         monkeypatch.setattr(
-            service, "_make_pool", lambda: pools_made.append(1) or make_pool()
+            service.pool, "_new_pool", lambda: pools_made.append(1) or make_pool()
         )
         specs = make_grid()
 
@@ -226,6 +272,103 @@ class TestResolution:
         # broken pool retry on its replacement instead of each building
         # (and shutting down) another.
         assert len(pools_made) == 2
+
+    def test_hung_pool_worker_times_out_per_cell(self, tmp_path, monkeypatch):
+        """A real pool worker hangs with four distinct cells in flight:
+        REPRO_JOB_TIMEOUT interrupts that one cell inside its worker and
+        the cell is retried, so every waiter resolves, bit-identical,
+        and nothing is left in flight."""
+        latch = tmp_path / "hang.latch"
+        latch.touch()
+        monkeypatch.setenv("REPRO_TEST_WORKER_FAULT", f"hang:{latch}")
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "5")
+        service = SweepService(
+            store=ContentStore(tmp_path / "store"), pools=1, workers=2
+        )
+        specs = make_grid()
+
+        async def run():
+            try:
+                return await asyncio.wait_for(
+                    service.run_cells(specs), timeout=120
+                )
+            finally:
+                service.close()
+
+        outcomes = asyncio.run(run())
+        assert not latch.exists(), "the sabotage never fired"
+        for spec, outcome in zip(specs, outcomes):
+            assert dataclasses.asdict(outcome.result) == dataclasses.asdict(
+                run_cell(spec)
+            )
+        assert service.cells_simulated == 4
+        assert service._inflight == {}
+
+    def test_exhausted_retries_finish_lost_cells_in_process(
+        self, tmp_path, monkeypatch
+    ):
+        """With REPRO_RETRIES=0 the cells lost with a killed worker are
+        never resubmitted to a pool: they complete in process, still
+        bit-identical."""
+        import repro.sim.parallel as parallel
+
+        latch = tmp_path / "kill.latch"
+        latch.touch()
+        monkeypatch.setenv("REPRO_TEST_WORKER_FAULT", f"kill:{latch}")
+        monkeypatch.setenv("REPRO_RETRIES", "0")
+        in_process = []
+        real_run_cell = parallel.run_cell
+        monkeypatch.setattr(
+            parallel,
+            "run_cell",
+            lambda spec, *a: in_process.append(spec) or real_run_cell(spec, *a),
+        )
+        service = SweepService(
+            store=ContentStore(tmp_path / "store"), pools=1, workers=2
+        )
+        submitted = []
+        make_pool = service.pool._new_pool
+
+        def counting_pool():
+            pool = make_pool()
+            submit = pool.submit
+            pool.submit = lambda fn, specs, **kw: submitted.append(specs) or submit(
+                fn, specs, **kw
+            )
+            return pool
+
+        monkeypatch.setattr(service.pool, "_new_pool", counting_pool)
+        specs = make_grid()
+
+        async def run():
+            try:
+                return await asyncio.wait_for(
+                    service.run_cells(specs), timeout=300
+                )
+            finally:
+                service.close()
+
+        outcomes = asyncio.run(run())
+        assert not latch.exists(), "the sabotage never fired"
+        # One pool, each cell submitted to it once; whatever it lost
+        # (at least the killed worker's cell) ran here instead.
+        assert len(submitted) == len(specs)
+        assert in_process
+        for spec, outcome in zip(specs, outcomes):
+            assert dataclasses.asdict(outcome.result) == dataclasses.asdict(
+                real_run_cell(spec)
+            )
+        assert service.cells_simulated == 4
+        assert service._inflight == {}
+
+    def test_pools_take_only_zero_or_one(self, tmp_path):
+        with pytest.raises(ValueError, match="pools must be 0"):
+            SweepService(store=ContentStore(tmp_path), pools=2)
+
+    def test_bad_knob_fails_at_construction(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "soon")
+        with pytest.raises(ValueError, match="REPRO_JOB_TIMEOUT"):
+            make_service(tmp_path)
 
     def test_stats_dict_shape(self, tmp_path):
         service = make_service(tmp_path)

@@ -68,25 +68,40 @@ def test_hung_worker_is_killed_and_retried(
     assert _same(results, serial_reference)
 
 
-def test_retries_exhausted_degrades_to_serial(monkeypatch, serial_reference):
-    # Arm an inexhaustible kill (the latch regenerates): every pool
-    # generation dies, so only the serial completion path can finish.
-    monkeypatch.setenv("REPRO_RETRIES", "1")
-    calls = {"n": 0}
+def _refuse(specs, engine=None, timeout=0.0):
+    """Stands in for ``run_cell_batch`` in pool workers: every pool
+    attempt fails (module level, so pool submissions can pickle it)."""
+    raise RuntimeError("pool attempt refused")
 
+
+def test_retries_exhausted_degrades_to_serial(monkeypatch, serial_reference):
+    # Every pool attempt fails, so only the in-process rung can finish:
+    # each cell must make exactly REPRO_RETRIES + 1 pool attempts first.
     import repro.sim.parallel as parallel
 
-    real_attempt = parallel._run_pool_attempt
+    monkeypatch.setenv("REPRO_RETRIES", "1")
+    monkeypatch.setattr(parallel, "run_cell_batch", _refuse)
+    attempts = []
+    new_pool = parallel.CellPool._new_pool
 
-    def broken_attempt(todo, pending, out, workers, timeout):
-        calls["n"] += 1
-        return pending  # pool produced nothing
+    def counting_pool(self):
+        pool = new_pool(self)
+        submit = pool.submit
 
-    monkeypatch.setattr(parallel, "_run_pool_attempt", broken_attempt)
-    results = run_cells(_specs(), jobs=3)
-    assert calls["n"] == 2  # first attempt + one retry
+        def counted(fn, specs, **kwargs):
+            attempts.append(specs[0].config.mechanism)
+            return submit(fn, specs, **kwargs)
+
+        pool.submit = counted
+        return pool
+
+    monkeypatch.setattr(parallel.CellPool, "_new_pool", counting_pool)
+    specs = _specs()
+    results = run_cells(specs, jobs=3)
+    assert sorted(attempts) == sorted(
+        spec.config.mechanism for spec in specs for _ in range(2)
+    )
     assert _same(results, serial_reference)
-    monkeypatch.setattr(parallel, "_run_pool_attempt", real_attempt)
 
 
 def test_cache_put_is_atomic_and_prunes_dead_writers(tmp_path):
