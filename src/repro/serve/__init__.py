@@ -7,9 +7,11 @@ validates and expands them (:func:`~repro.serve.service.expand_sweep`),
 runs cells on one persistent worker pool with in-flight dedupe
 (:class:`~repro.serve.service.SweepService`), and serves results from a
 size-bounded content-addressed store with LRU eviction and counters
-(:class:`~repro.serve.store.ContentStore`).  Thin clients -- blocking
-and asyncio -- live in :mod:`repro.serve.client`; the experiment CLIs
-reach the service through ``repro-experiments --server URL``.
+(:class:`~repro.serve.store.ContentStore`).  The blocking client lives
+in :mod:`repro.serve.client` and the harness that boots and storms a
+local cluster (``repro-serve smoke``) in :mod:`repro.serve.cluster`;
+the experiment CLIs reach the service through
+``repro-experiments --server URL``.
 
 Layering: ``serve`` sits at the top of the runtime stack (above
 ``sim``/``engine``/``checkpoint``), beside ``experiments``; nothing

@@ -10,27 +10,24 @@ Subcommands:
 ``stats``
     Print a running server's ``/stats``.
 ``smoke``
-    Self-contained load check (the CI job): start an in-process server
-    on an ephemeral port, fire N concurrent clients over one
+    The service harness (the CI jobs): boot ``--nodes`` real server
+    processes, storm them with ``--clients`` concurrent sweeps of one
     overlapping grid, and assert the service contract -- in-flight
     dedupe collapsed the grid (simulated < requested), the store
-    reports hits, every client saw identical cycles, a follow-up sweep
-    is served entirely warm, and payload results are bit-identical to
-    running the cells serially in-process.  With ``--nodes N`` the
-    smoke instead boots a real N-process cluster and additionally
-    proves peer forwarding, warm handoff, and the job queue's kill -9
-    resume contract (zero lost, zero duplicated cells).
-``loadgen``
-    Boot a local multi-process cluster and benchmark it: cells/sec,
-    dedupe ratio, store hit-rate, p50/p99 sweep latency.  With
-    ``--baseline BENCH_serve.json --max-drop 0.2`` it fails on
+    reports hits, every client saw identical cycles, forwarding carried
+    cells with zero fallbacks (two or more nodes), a follow-up sweep is
+    served entirely warm with payloads bit-identical to serial
+    in-process runs, and a persistent job survives SIGKILL of its node
+    with zero lost and zero duplicated cells.  It reports cells/sec,
+    dedupe ratio, store hit-rate and p50/p99 sweep latency, and with
+    ``--baseline BENCH_serve.json --max-drop 0.2`` fails on a
     regression (the nightly ``loadgen-bench`` CI job).
 
 Ops knobs (``REPRO_SERVE_*``) are documented in ``docs/SERVICE.md``;
 flags override the environment.  ``--engine`` pins ``REPRO_ENGINE``
 for the server *and its pool workers* -- without it the backend is
 inherited from the caller's environment (see "Hermetic smoke runs" in
-docs/SERVICE.md for why smoke/loadgen resolve it explicitly).
+docs/SERVICE.md for why the smoke resolves it explicitly).
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 
 
 def _add_server_args(parser: argparse.ArgumentParser) -> None:
@@ -105,34 +101,29 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_engine(engine: str | None) -> None:
-    """Pin REPRO_ENGINE process-wide *before* any pool spawns, so the
-    workers inherit the same backend the server resolves with."""
-    if engine:
-        os.environ["REPRO_ENGINE"] = engine
-
-
 def _build_server(args: argparse.Namespace):
     from repro.serve.http import SweepHTTPServer
     from repro.serve.queue import JobQueue
     from repro.serve.service import SweepService
     from repro.serve.store import ContentStore
 
-    _apply_engine(getattr(args, "engine", None))
+    if args.engine:
+        # Pin REPRO_ENGINE process-wide *before* any pool spawns, so the
+        # workers inherit the same backend the server resolves with.
+        os.environ["REPRO_ENGINE"] = args.engine
     store = ContentStore(
         directory=args.cache_dir,
         max_entries=args.cache_entries,
         max_bytes=None if args.cache_mb is None else args.cache_mb * 1024 * 1024,
     )
-    jobs_dir = getattr(args, "jobs_dir", None)
     service = SweepService(
         store=store,
         pools=args.pools,
         workers=args.workers,
-        node_id=getattr(args, "node_url", None),
-        peers=tuple(getattr(args, "peer", []) or []),
-        queue=JobQueue(jobs_dir) if jobs_dir else None,
-        handoff=getattr(args, "handoff", False),
+        node_id=args.node_url,
+        peers=tuple(args.peer),
+        queue=JobQueue(args.jobs_dir) if args.jobs_dir else None,
+        handoff=args.handoff,
     )
     return SweepHTTPServer(service, host=args.host, port=args.port)
 
@@ -208,33 +199,37 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_smoke(args: argparse.Namespace) -> int:
-    from repro.serve.smoke import run_cluster_smoke, run_smoke
+    from repro.serve.cluster import ClusterError, run_smoke
 
-    if args.cache_dir is None:
-        args.cache_dir = tempfile.mkdtemp(prefix="repro-serve-smoke-")
-    if args.nodes > 1:
-        report = run_cluster_smoke(args)
-    else:
-        report = asyncio.run(run_smoke(args))
+    if args.nodes < 1 or args.reps < 1 or args.clients < args.nodes:
+        print(
+            "repro-serve smoke: need --nodes >= 1, --reps >= 1 and "
+            "--clients >= --nodes",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        report = run_smoke(args)
+    except (ClusterError, OSError, ValueError) as exc:
+        print(f"repro-serve smoke: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     if report.failures:
         for failure in report.failures:
             print(f"repro-serve smoke: FAIL: {failure}", file=sys.stderr)
+        print(
+            f"repro-serve smoke: node logs are in {report.cluster_dir}",
+            file=sys.stderr,
+        )
         return 1
+    gated = f", within {args.max_drop:.0%} of {args.baseline}" if args.baseline else ""
     print(
-        f"repro-serve smoke: OK ({report.clients} clients, "
-        f"{report.cells_requested} cells requested, "
-        f"{report.cells_simulated} simulated)"
+        f"repro-serve smoke: OK ({args.clients} clients x {args.reps} sweeps "
+        f"on {args.nodes} node(s), {report.cells_per_sec} cells/sec, "
+        f"{report.cells_simulated} of {report.cells_requested} cells "
+        f"simulated{gated})"
     )
     return 0
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.serve.loadgen import main as loadgen_main
-
-    if args.cluster_dir is None:
-        args.cluster_dir = tempfile.mkdtemp(prefix="repro-serve-loadgen-")
-    return loadgen_main(args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -274,12 +269,26 @@ def main(argv: list[str] | None = None) -> int:
     stats.set_defaults(func=_cmd_stats)
 
     smoke = sub.add_parser(
-        "smoke", help="self-contained concurrency/dedupe check (CI)"
+        "smoke",
+        help="boot a local cluster, storm it, and check the service "
+        "contract (CI)",
     )
-    _add_server_args(smoke)
+    smoke.add_argument(
+        "--nodes", type=int, default=1,
+        help="real server processes to boot (default 1)",
+    )
     smoke.add_argument(
         "--clients", type=int, default=100,
-        help="concurrent sweep clients to fire (default 100)",
+        help="concurrent sweep clients, at least --nodes (default 100)",
+    )
+    smoke.add_argument(
+        "--reps", type=int, default=1,
+        help="sweeps per client; client i sends sweep r to node "
+        "(i + r) mod N (default 1)",
+    )
+    smoke.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="pool processes per node (default 1)",
     )
     smoke.add_argument(
         "--workload", action="append", default=None,
@@ -293,78 +302,36 @@ def main(argv: list[str] | None = None) -> int:
     smoke.add_argument("--insts", type=int, default=500)
     smoke.add_argument("--warmup", type=int, default=120)
     smoke.add_argument(
-        "--nodes", type=int, default=1,
-        help="cluster smoke: boot N real server processes and also "
-        "assert forwarding, handoff, and kill -9 job resume (default "
-        "1 = in-process smoke)",
+        "--engine", default=None, metavar="BACKEND",
+        help="pin the engine backend for every node and the in-process "
+        "oracle (default: REPRO_ENGINE, else reference)",
+    )
+    smoke.add_argument(
+        "--cluster-dir", default=None, metavar="DIR",
+        help="node stores, job queues and logs (default: a temp dir, "
+        "removed after a passing run)",
     )
     smoke.add_argument(
         "--artifacts", default=None, metavar="DIR",
-        help="write NDJSON streams and node stats here (CI uploads "
-        "them on failure)",
+        help="write report.json, the nodes' stats, the job trace and "
+        "each client's NDJSON lines here",
+    )
+    smoke.add_argument(
+        "--baseline", default=None, metavar="FILE",
+        help="committed report to gate cells/sec and store hit-rate "
+        "against (e.g. BENCH_serve.json)",
+    )
+    smoke.add_argument(
+        "--max-drop", type=float, default=0.2,
+        help="max tolerated drop vs --baseline (default 0.2)",
     )
     smoke.set_defaults(func=_cmd_smoke)
 
-    loadgen = sub.add_parser(
-        "loadgen", help="benchmark a local cluster (cells/sec, latency)"
-    )
-    loadgen.add_argument(
-        "--nodes", type=int, default=3, help="cluster size (default 3)"
-    )
-    loadgen.add_argument(
-        "--clients", type=int, default=32,
-        help="concurrent sweep clients (default 32)",
-    )
-    loadgen.add_argument(
-        "--reps", type=int, default=4,
-        help="sweeps per client (default 4; later reps measure the "
-        "warm path)",
-    )
-    loadgen.add_argument(
-        "--workers", type=int, default=1,
-        help="simulator processes per node (default 1)",
-    )
-    loadgen.add_argument(
-        "--workload", action="append", default=None,
-        help="grid workload (repeatable; default compress+murphi)",
-    )
-    loadgen.add_argument(
-        "--mechanism", action="append", default=None,
-        help="grid mechanism (repeatable; default "
-        "traditional+multithreaded)",
-    )
-    loadgen.add_argument("--insts", type=int, default=500)
-    loadgen.add_argument("--warmup", type=int, default=120)
-    loadgen.add_argument(
-        "--engine", default=None, metavar="BACKEND",
-        help="pin the engine backend for every node (default: inherit "
-        "REPRO_ENGINE, else reference)",
-    )
-    loadgen.add_argument(
-        "--cluster-dir", default=None, metavar="DIR",
-        help="cluster scratch root (default: fresh temp dir)",
-    )
-    loadgen.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also write the JSON report here (e.g. BENCH_serve.json)",
-    )
-    loadgen.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="committed baseline report to gate against",
-    )
-    loadgen.add_argument(
-        "--max-drop", type=float, default=0.2,
-        help="max tolerated cells/sec drop vs baseline (default 0.2)",
-    )
-    loadgen.set_defaults(func=_cmd_loadgen)
-
     args = parser.parse_args(argv)
-    if getattr(args, "workload", None) is not None and not args.workload:
-        args.workload = None
     if args.command == "sweep":
         args.workload = args.workload or ["compress"]
         args.mechanism = args.mechanism or ["multithreaded"]
-    if args.command in ("smoke", "loadgen"):
+    if args.command == "smoke":
         args.workload = args.workload or ["compress", "murphi"]
         args.mechanism = args.mechanism or ["traditional", "multithreaded"]
     return args.func(args)

@@ -1,14 +1,10 @@
 """Clients for the sweep service.
 
-Two transports over the same wire format (``POST /sweep`` returning
-chunked NDJSON, see :mod:`repro.serve.http`):
-
-* :class:`SweepClient` -- blocking, ``http.client``-based; what the
-  experiment CLIs use (``repro-experiments --server URL``), one
-  connection per sweep, lines surfaced as they arrive.
-* :func:`async_sweep` -- asyncio streams with a hand-rolled chunked
-  reader; lets one process hold hundreds of concurrent sweeps open
-  (the CI smoke drives 100 clients through it).
+:class:`SweepClient` is the one transport: blocking and
+``http.client``-based, one connection per sweep, NDJSON lines
+(``POST /sweep``, see :mod:`repro.serve.http`) surfaced as they arrive.
+The experiment CLIs (``repro-experiments --server URL``) and every
+client thread of the ``repro-serve smoke`` storm use it.
 
 :func:`run_cells_via_server` is the drop-in
 :func:`~repro.sim.parallel.run_cells` replacement: it ships
@@ -64,20 +60,9 @@ class SweepClient:
         )
 
     def stats(self) -> dict:
-        conn = self._connect()
-        try:
-            conn.request("GET", "/stats")
-            response = conn.getresponse()
-            body = response.read()
-            if response.status != 200:
-                raise ServeError(
-                    f"/stats returned {response.status}: {body.decode()!r}"
-                )
-            return json.loads(body)
-        except (OSError, http.client.HTTPException) as exc:
-            raise ServeError(f"GET /stats on {self.url} failed: {exc}") from exc
-        finally:
-            conn.close()
+        return json.loads(
+            _peer_request(self.url, "GET", "/stats", timeout=self.timeout)
+        )
 
     def sweep(self, payload: dict) -> Iterator[dict]:
         """POST a sweep spec; yield each NDJSON line as a dict.
@@ -274,78 +259,3 @@ def job_results(
     suffix = "" if include_results else "?results=0"
     data = _peer_request(url, "GET", f"/jobs/{job_id}/results{suffix}")
     return [json.loads(line) for line in data.splitlines() if line.strip()]
-
-
-# ----------------------------------------------------------------------
-# Asyncio transport (used by `repro-serve smoke` for mass concurrency).
-
-async def async_sweep(host: str, port: int, payload: dict) -> list[dict]:
-    """One sweep over raw asyncio streams; returns every NDJSON line.
-
-    Hand-rolls the chunked-transfer decode so hundreds of these can run
-    concurrently on one loop without threads.
-    """
-    import asyncio
-
-    body = json.dumps(payload).encode("utf-8")
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(
-            (
-                f"POST /sweep HTTP/1.1\r\nHost: {host}:{port}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("latin-1")
-            + body
-        )
-        await writer.drain()
-
-        status_line = await reader.readline()
-        parts = status_line.decode("latin-1").split(maxsplit=2)
-        if len(parts) < 2 or parts[1] != "200":
-            rest = await reader.read()
-            raise ServeError(
-                f"/sweep returned {status_line.decode().strip()!r}: "
-                f"{rest.decode('utf-8', 'replace').strip()}"
-            )
-        chunked = False
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if (
-                name.strip().lower() == "transfer-encoding"
-                and "chunked" in value.lower()
-            ):
-                chunked = True
-
-        if chunked:
-            data = bytearray()
-            while True:
-                size_line = await reader.readline()
-                size = int(size_line.strip().split(b";")[0], 16)
-                if size == 0:
-                    await reader.readline()  # trailing CRLF
-                    break
-                data += await reader.readexactly(size)
-                await reader.readexactly(2)  # chunk CRLF
-        else:
-            data = bytearray(await reader.read())
-
-        events = [
-            json.loads(line)
-            for line in bytes(data).splitlines()
-            if line.strip()
-        ]
-        for event in events:
-            if event.get("kind") == "error":
-                raise ServeError(f"server error: {event.get('error')}")
-        return events
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass

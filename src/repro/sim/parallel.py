@@ -570,13 +570,23 @@ class CellPool:
     Backoff waits and in-process runs happen on one helper thread, never
     on the submitting thread (the service's event loop) or the pool's.
     ``workers == 0`` has no pool: cells run in process on that thread.
-    Both knobs are read once, here, so a bad value fails at construction.
+    Both knobs are read once, here, and ``REPRO_ENGINE`` and
+    ``REPRO_FAULTS`` are checked here too, so a bad value fails at
+    construction instead of in every cell.
     """
 
     def __init__(self, workers: int) -> None:
+        from repro.engine import resolve_engine
+
         self.workers = workers
         self.timeout = job_timeout()
         self.retries = max_retries()
+        resolve_engine()
+        faults = os.environ.get("REPRO_FAULTS", "")
+        if faults:
+            from repro.faults.config import parse_faults
+
+            parse_faults(faults)
         self._pool: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
         self._closed = False

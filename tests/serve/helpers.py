@@ -12,12 +12,17 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from pathlib import Path
 
+import repro
 from repro.serve.http import SweepHTTPServer
 from repro.serve.service import SweepService
 from repro.serve.store import ContentStore
 from repro.sim.config import MachineConfig
 from repro.sim.parallel import CellSpec
+
+#: The ``src`` directory, for the PYTHONPATH of ``repro.serve`` subprocesses.
+SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 
 def make_spec(

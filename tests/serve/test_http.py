@@ -2,24 +2,25 @@
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import http.client
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.serve.client import (
     ServeError,
     SweepClient,
-    async_sweep,
     run_cells_via_server,
     split_server_url,
     submit_job,
 )
 from repro.serve.service import spec_to_dict
 from repro.sim.parallel import run_cell
-from tests.serve.helpers import ServerThread, make_grid, make_spec
+from tests.serve.helpers import SRC_DIR, ServerThread, make_grid
 
 
 class TestUrlParsing:
@@ -105,29 +106,6 @@ class TestEndToEnd:
             finally:
                 conn.close()
 
-    def test_async_client_matches_blocking_client(self, tmp_path):
-        """The smoke harness's asyncio transport decodes the same
-        stream the blocking client sees."""
-        spec = make_spec()
-        payload = {
-            "cells": [spec_to_dict(spec)],
-            "include_results": True,
-        }
-        with ServerThread(tmp_path) as server:
-            events = asyncio.run(
-                async_sweep("127.0.0.1", server.server.port, payload)
-            )
-            kinds = [e["kind"] for e in events]
-            assert kinds.count("cell") == 1
-            assert kinds[-1] == "summary"
-
-            from repro.serve.client import decode_result
-
-            cell = next(e for e in events if e["kind"] == "cell")
-            assert dataclasses.asdict(decode_result(cell)) == (
-                dataclasses.asdict(run_cell(spec))
-            )
-
     def test_grid_sweep_over_http(self, tmp_path):
         """Grid-shaped requests expand server-side."""
         with ServerThread(tmp_path) as server:
@@ -201,3 +179,25 @@ class TestCli:
         assert main(["stats", "--server", url]) == 1
         assert main(["sweep", "--server", url]) == 1
         assert "failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, env, named",
+        [
+            (["--engine", "bogus"], {}, "bogus"),
+            ([], {"REPRO_FAULTS": "garbage"}, "garbage"),
+        ],
+    )
+    def test_serve_rejects_a_bad_engine_or_fault_spec_at_start(
+        self, flags, env, named
+    ):
+        """Not "listening", then an in-stream error on every sweep."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.serve", "serve",
+             "--port", "0", "--pools", "0", *flags],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": SRC_DIR, **env},
+        )
+        assert proc.returncode == 2
+        assert named in proc.stderr
