@@ -564,8 +564,9 @@ class CellPool:
     ``REPRO_JOB_TIMEOUT`` overrun, or an exception from the cell, at
     most ``REPRO_RETRIES`` resubmits with linear backoff -- a broken
     pool is replaced only while it is still the current pool, so cells
-    lost together share one rebuild; (3) then a run in process, with no
-    timeout, whose exception fails the future.
+    lost together share one rebuild, and a cell submitted just as its
+    pool broke is lost with them, never stranded; (3) then a run in
+    process, with no timeout, whose exception fails the future.
 
     Backoff waits and in-process runs happen on one helper thread, never
     on the submitting thread (the service's event loop) or the pool's.
@@ -634,6 +635,11 @@ class CellPool:
         except Exception as exc:  # a broken or closed pool, or none at all
             inner = Future()
             inner.set_exception(exc)
+        else:
+            if pool._broken:
+                # The pool broke while this cell was being submitted, so
+                # its manager may never fail it: see _retire.
+                self._defer(outer, self._retire, pool)
         inner.add_done_callback(
             functools.partial(self._settle, spec, outer, attempt, pool)
         )
@@ -650,17 +656,39 @@ class CellPool:
             _resolve(outer, result)
 
     def _recover(self, spec, outer, attempt, pool, exc, failed_at: float) -> None:
-        """(Helper thread.)  Replace a broken pool, then retry or run here."""
+        """(Helper thread.)  Retire a broken pool, then retry or run here."""
         if isinstance(exc, BrokenProcessPool):
-            with self._lock:
-                if self._pool is pool:
-                    self._pool = None
-                    pool.shutdown(wait=False)
+            self._retire(pool)
         if attempt >= self.retries:
             self._run_here(spec, outer)
             return
         time.sleep(max(0.0, failed_at + 0.25 * (attempt + 1) - time.monotonic()))
         self._attempt(spec, outer, attempt + 1)
+
+    def _retire(self, pool: ProcessPoolExecutor) -> None:
+        """(Helper thread.)  Stop using a broken pool, and fail every cell
+        it stranded so that cell retries like the ones it lost.
+
+        ``ProcessPoolExecutor`` does not lock ``submit`` against a broken
+        pool's manager thread: a cell that passed the broken check just
+        before the pool broke can be recorded after the manager failed
+        and dropped the pending cells, and then nothing ever resolves it
+        (recorded while the manager is failing them, it kills the manager
+        before the manager stops the workers).  Once the manager has
+        exited (``shutdown(wait=True)`` joins it), any cell still pending
+        is such a cell.  Idempotent; the pool is replaced only while it
+        is still the current one.
+        """
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+        workers = list((pool._processes or {}).values())
+        pool.shutdown(wait=True)
+        for proc in workers:
+            proc.terminate()  # already stopped, unless the manager died
+        lost = BrokenProcessPool("the pool broke while this cell was submitted")
+        for item in list(pool._pending_work_items.values()):
+            _resolve(item.future, error=lost)
 
     def _run_here(self, spec: CellSpec, outer: Future) -> None:
         """(Helper thread.)  The last rung: run in this process."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import time
 
 import pytest
 
@@ -272,6 +273,94 @@ class TestResolution:
         # broken pool retry on its replacement instead of each building
         # (and shutting down) another.
         assert len(pools_made) == 2
+
+    # The manager thread that dies mid-sweep is the scenario, not a bug.
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    @pytest.mark.parametrize("recorded", ["after_the_sweep", "during_the_sweep"])
+    def test_cell_submitted_as_its_pool_breaks_is_retried(
+        self, recorded, tmp_path, monkeypatch
+    ):
+        """ProcessPoolExecutor does not lock ``submit`` against a broken
+        pool's manager thread.  The second submit is held between its
+        broken check and recording its cell while the killed worker's
+        pool fails the pending cells, then released after that sweep
+        (which never sees the cell) or during it (the changed dict kills
+        the manager before it stops the workers).  Either way the cell
+        must retry and resolve, and no worker may outlive its pool."""
+        import concurrent.futures.process as futures_process
+
+        latch = tmp_path / "kill.latch"
+        latch.touch()
+        monkeypatch.setenv("REPRO_TEST_WORKER_FAULT", f"kill:{latch}")
+        service = SweepService(
+            store=ContentStore(tmp_path / "store"), pools=1, workers=2
+        )
+        pools = []
+        make_pool = service.pool._new_pool
+        monkeypatch.setattr(
+            service.pool, "_new_pool", lambda: pools.append(make_pool()) or pools[-1]
+        )
+        work_item = futures_process._WorkItem
+        held, workers = [], []
+
+        def released(pool):
+            if recorded == "during_the_sweep":
+                return bool(pool._broken)
+            return bool(pool._broken) and not pool._pending_work_items
+
+        def hold_second_submit(*args):
+            held.append(False)
+            if len(held) == 2:
+                first = pools[0]
+                workers.extend(first._processes.values())
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline and not released(first):
+                    time.sleep(0.01)
+                held[-1] = released(first)
+            return work_item(*args)
+
+        monkeypatch.setattr(futures_process, "_WorkItem", hold_second_submit)
+        if recorded == "during_the_sweep":
+            # The sweep's first callback (the killed cell's) pauses the
+            # manager, GIL released, with the held submit about to record.
+            settle, paused = service.pool._settle, []
+
+            def pause_the_sweep(*args):
+                if not paused:
+                    paused.append(True)
+                    time.sleep(0.5)
+                return settle(*args)
+
+            monkeypatch.setattr(service.pool, "_settle", pause_the_sweep)
+        specs = make_grid()
+
+        async def run():
+            try:
+                return await asyncio.wait_for(
+                    service.run_cells(specs), timeout=60
+                )
+            finally:
+                service.close()
+
+        try:
+            outcomes = asyncio.run(run())
+        finally:
+            for proc in workers:
+                proc.join(10)
+            alive = [proc for proc in workers if proc.is_alive()]
+            for proc in alive:
+                proc.kill()  # a straggler would hang the interpreter's exit
+        assert held[1], "the second submit never saw its pool break"
+        assert not alive, "a worker outlived its broken pool"
+        for spec, outcome in zip(specs, outcomes):
+            assert dataclasses.asdict(outcome.result) == dataclasses.asdict(
+                run_cell(spec)
+            )
+        assert service.cells_simulated == 4
+        assert service._inflight == {}
+        assert len(pools) == 2
 
     def test_hung_pool_worker_times_out_per_cell(self, tmp_path, monkeypatch):
         """A real pool worker hangs with four distinct cells in flight:

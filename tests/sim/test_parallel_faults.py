@@ -3,11 +3,14 @@ workers, cache atomicity, and environment propagation."""
 
 import os
 import pickle
+import signal
+import time
 
 import pytest
 
 from repro.sim.config import MachineConfig
 from repro.sim.parallel import (
+    CellPool,
     CellSpec,
     ResultCache,
     job_timeout,
@@ -102,6 +105,41 @@ def test_retries_exhausted_degrades_to_serial(monkeypatch, serial_reference):
         spec.config.mechanism for spec in specs for _ in range(2)
     )
     assert _same(results, serial_reference)
+
+
+def test_cell_submitted_as_an_idle_pool_breaks_is_retried(monkeypatch):
+    """An idle worker dies while the next submit sits between the
+    pool's broken check and recording its cell.  The pool's manager has
+    no pending cell to fail, so only the submitter can see that this
+    one was stranded: it must still resolve, identical to a serial run."""
+    import concurrent.futures.process as futures_process
+
+    first, second = (
+        CellSpec("compress", MachineConfig(mechanism=mechanism), 300, 80, 2_000_000)
+        for mechanism in ("traditional", "multithreaded")
+    )
+    pool = CellPool(2)
+    try:
+        pool.submit(first).result(timeout=60)  # both workers are up and idle
+        executor = pool._pool
+        work_item = futures_process._WorkItem
+        held = []
+
+        def kill_a_worker_first(*args):
+            if not held:
+                os.kill(next(iter(executor._processes)), signal.SIGKILL)
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline and not executor._broken:
+                    time.sleep(0.01)
+                held.append(bool(executor._broken))
+            return work_item(*args)
+
+        monkeypatch.setattr(futures_process, "_WorkItem", kill_a_worker_first)
+        result = pool.submit(second).result(timeout=60)
+    finally:
+        pool.close()
+    assert held == [True], "the pool never broke"
+    assert _same([result], [run_cell(second)])
 
 
 def test_cache_put_is_atomic_and_prunes_dead_writers(tmp_path):
