@@ -9,7 +9,7 @@ Five passes (see docs/ANALYSIS.md):
 * :mod:`repro.analysis.archlint` — AST lint over ``src/repro`` itself
   (layering, ``__slots__`` on hot classes, nondeterminism sources);
 * :mod:`repro.analysis.parity` — semantic-drift diff between the
-  reference pipeline and the fused batched kernel (mutation/hook fact
+  reference pipeline and the fused kernel (mutation/hook fact
   sets and the ``# parity: elided`` ledger);
 * :mod:`repro.analysis.restart` — abstract interpretation of PAL
   handler images proving they can be squashed and replayed on a

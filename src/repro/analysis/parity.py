@@ -1,7 +1,7 @@
 """Semantic-drift detection between the reference and fused cycle kernels.
 
-PR 6's batched engine transcribes ~1k lines of :class:`SMTCore` logic
-into one fused loop (``engine/core.py:_run_to_fused``).  The two kernels
+The fused kernel transcribes ~1k lines of :class:`SMTCore` logic
+into one loop (``engine/core.py:_run_to_fused``).  The two kernels
 are kept bit-identical by *dynamic* digest oracles; this pass adds the
 *static* half of that contract: it extracts, from each kernel's AST, the
 set of
@@ -76,12 +76,12 @@ __all__ = [
 # Type model
 #
 # Types are plain strings.  ``SMTCore`` is the canonical kernel class
-# (``BatchedSMTCore`` facts normalize onto it).  Hook receivers are the
+# (``FusedSMTCore`` facts normalize onto it).  Hook receivers are the
 # pluggable collaborators whose *calls* are semantic events; state
 # classes are where *mutations* are semantic events.
 # ---------------------------------------------------------------------------
 
-_CANONICAL = {"BatchedSMTCore": "SMTCore"}
+_CANONICAL = {"FusedSMTCore": "SMTCore"}
 
 #: Receivers whose method calls are recorded as hook facts.
 HOOK_RECEIVERS = frozenset(
@@ -263,7 +263,7 @@ class _MethodIndex:
 #: Side-specific method resolution order for the kernel class family.
 _MRO = {
     "ref": {"SMTCore": ["SMTCore"]},
-    "fused": {"SMTCore": ["BatchedSMTCore", "SMTCore"]},
+    "fused": {"SMTCore": ["FusedSMTCore", "SMTCore"]},
 }
 for _side in _MRO:
     for _cls in ("InstructionWindow", "Cache", "Bus", "Uop", "_DRAM"):
@@ -319,7 +319,7 @@ class _FunctionWalker:
         self.env: dict[str, tuple] = {"self": ("obj", _CANONICAL.get(owner, owner))}
         # The fused kernel's ``if ...listeners...`` branches fall back to
         # the reference path; they are not part of the fused fact set.
-        self.skip_listener_guards = owner == "BatchedSMTCore"
+        self.skip_listener_guards = owner == "FusedSMTCore"
 
     def run(self) -> None:
         self._walk_body(self.fn.body)

@@ -24,9 +24,9 @@ A violation raises :class:`SanitizerError` carrying the cycle and a
 trace of recent pipeline events instead of letting the run continue.
 
 The sanitizer is **off by default** and costs nothing when disabled:
-the two hooks are guarded by a single ``is not None`` check each (see
-BENCH_engine.json).  Enable with ``MachineConfig(sanitize=True)`` or
-``REPRO_SANITIZE=1``.
+the two hooks are guarded by a single ``is not None`` check each (the
+measurement is in docs/ANALYSIS.md).  Enable with
+``MachineConfig(sanitize=True)`` or ``REPRO_SANITIZE=1``.
 """
 
 from __future__ import annotations

@@ -4,32 +4,36 @@ The engine registry maps a kernel name to the ``SMTCore`` class a
 :class:`~repro.sim.simulator.Simulator` is built with; every cell runs
 one simulator either way (:func:`repro.sim.parallel.run_cell`):
 
-``reference``
-    The unmodified :class:`~repro.pipeline.core.SMTCore` kernel.  The
-    default, and the oracle the fused kernel is differentially verified
-    against (``repro-fuzz --engine-diff``, ``repro-scenarios``).
-``batched``
-    :class:`~repro.engine.core.BatchedSMTCore`, whose dispatch-fused
+``fused``
+    :class:`~repro.engine.core.FusedSMTCore`, whose dispatch-fused
     cycle loop is a line-for-line transcription of the reference stages;
-    bit-identical results.  Its speed relative to the reference kernel
-    is the ``engine.fused_speedup`` metric of the end-to-end benchmark
-    (``benchmarks/e2e/README.md``).
+    bit-identical results.  The default for every cell run through
+    ``run_cell`` (the experiments, the pool runner, the sweep service).
+    Its speed relative to the reference kernel is the
+    ``engine.fused_speedup`` metric of the end-to-end benchmark
+    (``benchmarks/e2e/README.md``) and the ``BENCH_engine.json`` ledger.
+``reference``
+    The unmodified :class:`~repro.pipeline.core.SMTCore` kernel: the
+    oracle the fused kernel is differentially verified against
+    (``repro-fuzz --engine-diff``, ``repro-scenarios``), the path bus
+    listeners run on, and what ``Simulator(program, config)`` builds
+    when no ``core_cls`` is given.
 
-Select a kernel per process with ``REPRO_ENGINE=reference|batched``
-(experiment CLIs expose it as ``--engine``); the choice propagates to
-pool workers and is part of every result-cache key, so results from
-different kernels can never be served for one another.
+Select a kernel per process with ``REPRO_ENGINE=fused|reference``; the
+choice propagates to pool workers and is part of every result-cache
+key, so results from different kernels can never be served for one
+another.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.engine.core import BatchedSMTCore
+from repro.engine.core import FusedSMTCore
 
 __all__ = [
-    "BatchedSMTCore",
     "ENGINES",
+    "FusedSMTCore",
     "core_class",
     "resolve_engine",
 ]
@@ -37,21 +41,30 @@ __all__ = [
 #: Kernel name -> ``SMTCore`` subclass (``None`` = the reference kernel).
 _REGISTRY = {
     "reference": None,
-    "batched": BatchedSMTCore,
+    "fused": FusedSMTCore,
 }
 
 #: Registered kernel names, reference first.
 ENGINES = tuple(_REGISTRY)
 
-DEFAULT_ENGINE = "reference"
+DEFAULT_ENGINE = "fused"
+
+#: Old name of the fused kernel.  Only the end-to-end benchmark's
+#: ``fused_speedup`` (``benchmarks/e2e/kernel.py``) still asks for the
+#: kernel by it; the benchmark change that moves the tracer into
+#: ``repro.obs`` renames that call and deletes this alias.  Resolving
+#: it yields ``"fused"``, so cache keys and manifests never record the
+#: old name.
+_ALIASES = {"batched": "fused"}
 
 
 def resolve_engine(name: str | None = None) -> str:
     """Normalize an engine selection: explicit ``name`` wins, else
-    ``REPRO_ENGINE``, else the reference kernel.  Unknown names raise
+    ``REPRO_ENGINE``, else the fused kernel.  Unknown names raise
     :class:`ValueError` here, at configuration time."""
     if name is None or name == "":
         name = os.environ.get("REPRO_ENGINE", "").strip() or DEFAULT_ENGINE
+    name = _ALIASES.get(name, name)
     if name not in _REGISTRY:
         raise ValueError(
             f"unknown engine {name!r}; pick one of {ENGINES}"

@@ -1,9 +1,10 @@
-"""A dispatch-fused :class:`SMTCore`: the ``batched`` engine's kernel.
+"""A dispatch-fused :class:`SMTCore`: the ``fused`` kernel.
 
-:class:`BatchedSMTCore` is the cycle kernel a cell runs on when
-``REPRO_ENGINE=batched`` (see :mod:`repro.engine`).  It is the *same
-machine* as :class:`repro.pipeline.core.SMTCore` -- same stages, same
-budgets, same event scheduler, same stats -- with the per-cycle Python dispatch
+:class:`FusedSMTCore` is the cycle kernel a cell runs on by default
+(``REPRO_ENGINE=fused``, see :mod:`repro.engine`); a ``Simulator``
+built directly keeps the reference core.  It is the *same machine* as
+:class:`repro.pipeline.core.SMTCore` -- same stages, same budgets, same
+event scheduler, same stats -- with the per-cycle Python dispatch
 overhead fused away.  :meth:`run_to` is one flat loop whose body is a
 line-for-line transcription of the reference stage bodies (retire,
 execute, decode, fetch, in that order) with:
@@ -64,12 +65,12 @@ from repro.pipeline.core import _FAR_FUTURE, SMTCore
 from repro.pipeline.thread import ThreadState
 from repro.pipeline.uop import Uop, UopState
 
-__all__ = ["BatchedSMTCore"]
+__all__ = ["FusedSMTCore"]
 
 _FU_GROUPS = ("alu", "muldiv", "fp", "fpdiv", "mem")
 
 
-class BatchedSMTCore(SMTCore):
+class FusedSMTCore(SMTCore):
     """Reference core with the per-cycle dispatch overhead fused away."""
 
     # The fused loops never emit bus-listener events: every entry point

@@ -3,6 +3,8 @@
 ``repro-experiments all`` regenerates every table and figure of the
 paper; individual ids (``fig2`` ... ``table4``) run one experiment.
 ``REPRO_SCALE`` scales run lengths (1 = quick, 4+ = measurement grade).
+``REPRO_ENGINE`` picks the cycle kernel (``fused`` by default,
+``reference`` for the oracle); results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -61,14 +63,6 @@ def main(argv: list[str] | None = None) -> int:
         "or the CPU count); 1 forces the serial path",
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        metavar="NAME",
-        help="engine backend for every grid (default: REPRO_ENGINE or "
-        "'reference'); backends are verified bit-identical, so this "
-        "changes wall-clock only, never results",
-    )
-    parser.add_argument(
         "--server",
         default=None,
         metavar="URL",
@@ -81,18 +75,6 @@ def main(argv: list[str] | None = None) -> int:
         import os
 
         os.environ["REPRO_JOBS"] = str(args.jobs)
-    if args.engine is not None:
-        import os
-
-        from repro.engine import resolve_engine
-
-        # Validate up front (argparse-style error on typos), then let the
-        # environment carry the choice everywhere REPRO_JOBS already goes
-        # (run_cells, pool workers, the result-cache key).
-        try:
-            os.environ["REPRO_ENGINE"] = resolve_engine(args.engine)
-        except ValueError as exc:
-            parser.error(str(exc))
     if args.server is not None:
         import os
 

@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine-diff", action="store_true",
-        help="fuzz the batched engine kernel against the reference "
+        help="fuzz the fused kernel (the default) against the reference "
         "kernel: every faulted run executes under both and must agree "
         "exactly (digest, cycles, every counter)",
     )

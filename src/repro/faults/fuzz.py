@@ -17,11 +17,11 @@ The oracle stack, strongest first:
 ``--engine-diff`` swaps in a fourth, stricter oracle: instead of
 comparing mechanisms against the perfect reference, every mechanism's
 faulted run is executed twice -- once under the reference cycle kernel
-and once under the batched engine's fused kernel
-(:mod:`repro.engine.core`) -- and the two runs must agree *exactly*:
-same digest, same cycle count, same value for every pipeline counter,
-same injected-fault totals.  The engines are bit-identical by contract,
-so any daylight between them is an engine bug.
+and once under the fused kernel (:mod:`repro.engine.core`) -- and the
+two runs must agree *exactly*: same digest, same cycle count, same
+value for every pipeline counter, same injected-fault totals.  The
+engines are bit-identical by contract, so any daylight between them is
+an engine bug.
 
 Programs come from :mod:`repro.faults.progen` and are validated with the
 :mod:`repro.analysis` guest lint before use (an unlintable program is a
@@ -468,16 +468,16 @@ def run_engine_diff_case(
     """Differential trial between engine *backends* for one case.
 
     Every mechanism's faulted run executes twice -- under the reference
-    cycle kernel and under the batched engine's fused kernel -- and the
-    pair must agree exactly: same outcome, same digest, same cycle
-    count, same value for every counter, same injected-fault totals.
+    cycle kernel and under the fused kernel -- and the pair must agree
+    exactly: same outcome, same digest, same cycle count, same value
+    for every counter, same injected-fault totals.
     (``defect`` is accepted for signature compatibility with
     :func:`run_case` but both kernels receive it, so it cannot cause an
     engine divergence by itself.)
     """
     from repro.engine import core_class
 
-    batched_cls = core_class("batched")
+    fused_cls = core_class("fused")
     result = CaseResult(case=case)
     lint_errors = lint_program(case.program.source, unit=f"fuzz-{case.seed}")
     if lint_errors:
@@ -492,46 +492,46 @@ def run_engine_diff_case(
             case, mechanism, faults=case.faults, defect=defect,
             max_cycles=max_cycles,
         )
-        bat = run_program(
+        fused = run_program(
             case, mechanism, faults=case.faults, defect=defect,
-            max_cycles=max_cycles, core_cls=batched_cls,
+            max_cycles=max_cycles, core_cls=fused_cls,
         )
-        result.cycles += ref.cycles + bat.cycles
+        result.cycles += ref.cycles + fused.cycles
         for kind, count in ref.fault_counts.items():
             totals[kind] += count
-        delta = _engine_delta(ref, bat)
+        delta = _engine_delta(ref, fused)
         if delta:
             result.divergences.append(Divergence(mechanism, "engine", delta))
     result.fault_counts = totals
     return result
 
 
-def _engine_delta(ref: RunOutcome, bat: RunOutcome) -> str:
-    """Where a batched-kernel run disagrees with its reference twin
+def _engine_delta(ref: RunOutcome, fused: RunOutcome) -> str:
+    """Where a fused-kernel run disagrees with its reference twin
     (empty string when they match exactly)."""
-    if (ref.ok, ref.reason) != (bat.ok, bat.reason):
+    if (ref.ok, ref.reason) != (fused.ok, fused.reason):
         return (
             f"outcome: reference {ref.reason or 'ok'!s} "
-            f"vs batched {bat.reason or 'ok'!s} ({bat.detail})"
+            f"vs fused {fused.reason or 'ok'!s} ({fused.detail})"
         )
     parts = []
-    if ref.detail != bat.detail:
-        parts.append(f"detail {ref.detail!r} vs {bat.detail!r}")
-    if ref.cycles != bat.cycles:
-        parts.append(f"cycles {ref.cycles} vs {bat.cycles}")
-    if ref.digest != bat.digest:
-        parts.append("digest: " + _digest_delta(ref.digest, bat.digest))
-    if ref.fault_counts != bat.fault_counts:
+    if ref.detail != fused.detail:
+        parts.append(f"detail {ref.detail!r} vs {fused.detail!r}")
+    if ref.cycles != fused.cycles:
+        parts.append(f"cycles {ref.cycles} vs {fused.cycles}")
+    if ref.digest != fused.digest:
+        parts.append("digest: " + _digest_delta(ref.digest, fused.digest))
+    if ref.fault_counts != fused.fault_counts:
         parts.append(
-            f"fault counts {ref.fault_counts} vs {bat.fault_counts}"
+            f"fault counts {ref.fault_counts} vs {fused.fault_counts}"
         )
     for group in ref.stats:
-        if ref.stats[group] != bat.stats.get(group):
+        if ref.stats[group] != fused.stats.get(group):
             bad = sorted(
                 k
                 for k in (ref.stats[group] or {})
                 if (ref.stats[group] or {}).get(k)
-                != (bat.stats.get(group) or {}).get(k)
+                != (fused.stats.get(group) or {}).get(k)
             ) if isinstance(ref.stats[group], dict) else []
             parts.append(f"{group} counters differ ({bad[:4]})")
     return "; ".join(parts)
@@ -740,9 +740,9 @@ def fuzz(
 
     Stops at the *first* failing case (after shrinking and writing its
     artifacts): one minimal reproducer beats a pile of noisy ones, and
-    CI wants fast signal.  ``engine_diff`` fuzzes the batched engine
-    kernel against the reference kernel (:func:`run_engine_diff_case`)
-    instead of the mechanisms against each other.  ``causes`` pins every
+    CI wants fast signal.  ``engine_diff`` fuzzes the fused kernel
+    against the reference kernel (:func:`run_engine_diff_case`) instead
+    of the mechanisms against each other.  ``causes`` pins every
     case to one cause set (``None`` rotates the default corpus through
     :data:`CAUSE_ROTATION`).
     """

@@ -107,8 +107,12 @@ def main(argv: list[str] | None = None) -> int:
     table = attribution.finalize(sim.core.cycle)
     table.check_sum()
 
+    # A plain Simulator runs the reference kernel, whatever REPRO_ENGINE
+    # says (with listeners attached the fused loop would fall back to
+    # the reference stages anyway).
     manifest = build_manifest(
-        result, sim.config, attribution=table, workload=tuple(args.workload)
+        result, sim.config, attribution=table, workload=tuple(args.workload),
+        engine_backend="reference",
     )
     out = args.out or f"{'-'.join(args.workload)}-{args.mechanism}.trace.json"
     exporter.write(out, manifest)

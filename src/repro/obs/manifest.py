@@ -56,8 +56,13 @@ def build_manifest(
     checkpoint: dict | None = None,
     cache_stats: dict | None = None,
     node: dict | None = None,
+    engine_backend: str | None = None,
 ) -> dict:
-    """Assemble the manifest for one finished run."""
+    """Assemble the manifest for one finished run.
+
+    ``engine_backend`` names the kernel the run used; leave it ``None``
+    for a cell run through :func:`repro.sim.parallel.run_cell`, whose
+    kernel is the resolved ``REPRO_ENGINE``."""
     # Local import: repro.sim.parallel imports the simulator stack, which
     # imports this package via the pipeline core.
     from repro.engine import resolve_engine
@@ -77,7 +82,7 @@ def build_manifest(
         "engine": engine_fingerprint(),
         # Which backend's cycle kernel produced the run (bit-identical
         # by contract, recorded so every result stays traceable).
-        "engine_backend": resolve_engine(),
+        "engine_backend": engine_backend or resolve_engine(),
         "config_hash": config_hash(config),
         "config": dataclasses.asdict(config),
         "mechanism": result.mechanism,

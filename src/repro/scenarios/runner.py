@@ -5,8 +5,7 @@ For each :class:`~repro.scenarios.spec.ScenarioSpec` the runner:
 1. runs the *perfect* machine once to define the reference
    architectural digest (:func:`repro.faults.fuzz.arch_digest`);
 2. runs every requested mechanism under both engine backends (the
-   reference cycle kernel and the batched fused kernel), sanitizer
-   attached;
+   reference cycle kernel and the fused kernel), sanitizer attached;
 3. checks every run's digest against the reference and the two kernels
    against each other (digest, cycles, and every pipeline counter must
    match exactly);
@@ -36,7 +35,7 @@ __all__ = ["EngineRun", "ScenarioResult", "run_scenario", "run_matrix"]
 #: Per-run cycle bound; scenario programs finish in a few thousand.
 DEFAULT_MAX_CYCLES = 2_000_000
 
-ENGINES = ("reference", "batched")
+ENGINES = ("reference", "fused")
 
 
 @dataclass
@@ -212,20 +211,20 @@ def run_scenario(
         if len(per_engine) == len(ENGINES) and all(
             r.ok for r in per_engine.values()
         ):
-            ref, bat = per_engine["reference"], per_engine["batched"]
+            ref, fused = per_engine["reference"], per_engine["fused"]
             if (ref.cycles, ref.digest, ref.stats) != (
-                bat.cycles,
-                bat.digest,
-                bat.stats,
+                fused.cycles,
+                fused.digest,
+                fused.stats,
             ):
                 bad = [
                     k
                     for k in ref.stats.get("sim", {})
-                    if ref.stats["sim"][k] != bat.stats.get("sim", {}).get(k)
+                    if ref.stats["sim"][k] != fused.stats.get("sim", {}).get(k)
                 ]
                 result.failures.append(
                     f"{mechanism} engine mismatch: cycles "
-                    f"{ref.cycles} vs {bat.cycles}, counters {bad[:4]}"
+                    f"{ref.cycles} vs {fused.cycles}, counters {bad[:4]}"
                 )
     return result
 

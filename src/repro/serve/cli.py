@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     smoke.add_argument(
         "--engine", default=None, metavar="BACKEND",
         help="pin the engine backend for every node and the in-process "
-        "oracle (default: REPRO_ENGINE, else reference)",
+        "oracle (default: REPRO_ENGINE, else fused)",
     )
     smoke.add_argument(
         "--cluster-dir", default=None, metavar="DIR",

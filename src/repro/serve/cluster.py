@@ -26,7 +26,7 @@ The report can be gated against a committed one (``BENCH_serve.json``)
 with :func:`gate`, the ``--baseline/--max-drop`` pattern perfbench uses.
 
 Every run is hermetic: the engine backend is resolved once
-(``--engine``, else ``REPRO_ENGINE``, else the reference kernel) and
+(``--engine``, else ``REPRO_ENGINE``, else the fused kernel) and
 pinned, with ``REPRO_CACHE=1``, into this process and every node before
 anything starts, so a stray parent variable cannot change what a run
 measures and the in-process oracle runs the kernel the nodes did.
@@ -283,7 +283,7 @@ def hermetic_env(engine: str | None) -> dict[str, str]:
     """The environment every node runs under.
 
     The engine backend is resolved *here* (``--engine``, else
-    ``REPRO_ENGINE``, else reference; an unknown name is a
+    ``REPRO_ENGINE``, else fused; an unknown name is a
     :class:`ValueError` before any node boots) and pinned, so a stray
     parent variable can never silently change what a run measures
     (docs/SERVICE.md "Hermetic smoke runs").  The cache is pinned on:

@@ -34,12 +34,13 @@ Environment knobs:
     timeout, or error) is resubmitted (default ``2``, linear backoff of
     0.25 s per attempt) before it runs in process.
 ``REPRO_ENGINE``
-    Cycle kernel for every cell (``reference`` or ``batched``, see
-    :mod:`repro.engine`).  The kernels are differentially verified to be
-    bit-identical, but the selection still keys the cache and follows
-    cells into pool workers, so a result can always be traced to the
-    kernel that produced it.  How much faster the fused kernel runs is
-    the ``engine.fused_speedup`` metric in ``benchmarks/e2e/README.md``.
+    Cycle kernel for every cell: ``fused`` (the default) or
+    ``reference`` (the oracle), see :mod:`repro.engine`.  The kernels
+    are differentially verified to be bit-identical, but the selection
+    still keys the cache and follows cells into pool workers, so a
+    result can always be traced to the kernel that produced it.  How
+    much faster the fused kernel runs is the ``engine.fused_speedup``
+    metric in ``benchmarks/e2e/README.md``.
 ``REPRO_CACHE``
     Set to ``0`` to disable the on-disk result cache.
 ``REPRO_CACHE_DIR``
@@ -154,7 +155,8 @@ def _test_fault_hook() -> None:
 
 def run_cell(spec: CellSpec, engine: str | None = None) -> SimResult:
     """Run one cell to completion (in the current process) under the
-    selected cycle kernel (``REPRO_ENGINE`` when ``engine`` is None)."""
+    selected cycle kernel: ``engine``, else ``REPRO_ENGINE``, else the
+    fused kernel."""
     _test_fault_hook()
     from repro.engine import core_class
 

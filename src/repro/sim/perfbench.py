@@ -1,22 +1,23 @@
-"""Engine throughput benchmark: ``python -m repro.sim.perfbench``.
+"""Engine throughput ledger: ``python -m repro.sim.perfbench``.
 
 Measures simulated user-instructions per wall-clock second on the
-8-benchmark suite, once per exception mechanism, and writes the results
-to ``BENCH_engine.json`` (see ``benchmarks/perf/README.md`` for the
-protocol and the committed reference numbers).
+8-benchmark suite, once per exception mechanism, for both cycle kernels
+(``reference`` and ``fused``) interleaved in one process, and writes the
+one engine perf ledger, ``BENCH_engine.json`` (see
+``benchmarks/perf/README.md`` for the protocol and the committed
+numbers).  The ledger stamps host, Python, commit and protocol.
 
 The protocol is deliberately modest -- short runs, best-of-N timing --
-so it finishes in about a minute on one core while still being
+so it finishes in a couple of minutes on one core while still being
 dominated (>95%) by the cycle loop rather than setup.  Construction
 (program build, page-table setup, cache prewarm) is excluded from the
 timed region, and reps are isolated (fresh simulators, collected heap)
 so best-of-N compares like against like.
 
-``--engine`` selects which backend's cycle kernel is measured
-(``REPRO_ENGINE`` by default); ``--engine-compare`` measures the
-reference and batched kernels interleaved and writes
-``BENCH_batched.json`` with the batched-vs-reference speedup, gated by
-``--min-speedup`` in CI.
+Two gates, usable together: ``--baseline FILE --max-drop F`` fails when
+either kernel drops past ``F`` against its own entry in a committed
+ledger, and ``--min-speedup X`` fails when the fused kernel's aggregate
+is less than ``X`` times the reference kernel's.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ import gc
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
+from pathlib import Path
 
+from repro.engine import ENGINES, core_class
 from repro.sim.config import MECHANISMS, MachineConfig
 from repro.sim.simulator import Simulator
 from repro.workloads.suite import BENCHMARKS
@@ -41,7 +45,7 @@ MAX_CYCLES = 5_000_000
 #: Pre-optimization engine throughput on the reference host (commit
 #: 69ca06f, the growth seed), measured with this same protocol
 #: interleaved against the optimized engine on one core.  Kept in the
-#: output so every ``BENCH_engine.json`` records the speedup it claims.
+#: ledger so it records the speedup the engine work since then claims.
 BASELINE_IPS = {
     "perfect": 16596.3,
     "traditional": 13916.1,
@@ -53,13 +57,13 @@ BASELINE_IPS = {
 
 def measure_mechanism(mechanism: str, reps: int, core_cls=None) -> float:
     """Best-of-``reps`` suite throughput (user instrs/sec) for one
-    mechanism, optionally under an engine backend's core class.
+    mechanism under a kernel's core class (``None``: reference).
 
     Reps are isolated: every rep builds fresh programs and simulators,
     and starts from a collected heap -- without the collection, garbage
     left by rep N is collector work billed to rep N+1, so best-of-N
-    would quietly favour whichever rep ran first (and, when two engines
-    are interleaved, whichever engine ran first).
+    would quietly favour whichever rep ran first (and, with two kernels
+    interleaved, whichever kernel ran first).
     """
     best = 0.0
     for _ in range(reps):
@@ -88,128 +92,127 @@ def aggregate(per_mechanism: dict[str, float]) -> float:
     return len(per_mechanism) / sum(1.0 / v for v in per_mechanism.values())
 
 
-def _protocol_block(reps: int, engine: str) -> dict:
-    return {
-        "suite": list(BENCHMARKS),
-        "user_insts": USER_INSTS,
-        "warmup_insts": WARMUP_INSTS,
-        "reps_best_of": reps,
-        "engine": engine,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-    }
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
 
 
-def run(reps: int = 3, engine: str | None = None) -> dict:
-    from repro.engine import core_class, resolve_engine
-
-    engine = resolve_engine(engine)
-    core_cls = core_class(engine)
-    per_mechanism = {}
-    for mechanism in MECHANISMS:
-        per_mechanism[mechanism] = round(
-            measure_mechanism(mechanism, reps, core_cls), 1
+def _commit() -> str:
+    """``git describe`` of the measured sources (``-dirty`` marks
+    uncommitted edits), or ``unknown`` outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10,
         )
-        print(f"{mechanism:<14}{per_mechanism[mechanism]:>10.1f} instrs/sec",
-              flush=True)
-    agg = round(aggregate(per_mechanism), 1)
-    base = round(aggregate(BASELINE_IPS), 1)
-    report = {
-        "protocol": _protocol_block(reps, engine),
-        "instrs_per_sec": per_mechanism,
-        "aggregate": agg,
-        "baseline": {
-            "note": "pre-optimization engine (growth seed), same protocol",
-            "instrs_per_sec": BASELINE_IPS,
-            "aggregate": base,
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def _stamp(reps: int) -> dict:
+    return {
+        "host": {
+            "cpu": _cpu_model(),
+            "cpu_count": os.cpu_count(),
+            "platform": platform.platform(),
         },
-        "speedup_vs_baseline": {
-            mech: round(per_mechanism[mech] / BASELINE_IPS[mech], 2)
-            for mech in per_mechanism
-            if mech in BASELINE_IPS
+        "python": platform.python_version(),
+        "commit": _commit(),
+        "protocol": {
+            "suite": list(BENCHMARKS),
+            "user_insts": USER_INSTS,
+            "warmup_insts": WARMUP_INSTS,
+            "reps_best_of": reps,
+            "kernels": list(ENGINES),
+            "order": "per mechanism, reference then fused, one process",
         },
-        "aggregate_speedup": round(agg / base, 2),
     }
-    return report
 
 
 def run_compare(reps: int = 3) -> dict:
-    """Measure the reference and batched engines interleaved.
+    """Measure both kernels interleaved and build the ledger.
 
-    Per mechanism, the reference suite pass and the batched suite pass
-    run back to back (same process, same core, reps isolated), so the
-    speedup column compares equal-resource measurements rather than two
-    runs taken under different machine load.  The top-level
-    ``instrs_per_sec``/``aggregate`` keys hold the *batched* numbers, so
-    the report can also be gated with ``--baseline`` like any other.
+    Per mechanism, the reference suite pass and the fused suite pass run
+    back to back (same process, same core, reps isolated), so the
+    speedups compare equal-resource measurements rather than two runs
+    taken under different machine load.
     """
-    from repro.engine import core_class
-
-    batched_cls = core_class("batched")
-    per_ref: dict[str, float] = {}
-    per_bat: dict[str, float] = {}
+    per: dict[str, dict[str, float]] = {kernel: {} for kernel in ENGINES}
     for mechanism in MECHANISMS:
-        per_ref[mechanism] = round(
-            measure_mechanism(mechanism, reps, None), 1
-        )
-        per_bat[mechanism] = round(
-            measure_mechanism(mechanism, reps, batched_cls), 1
-        )
+        for kernel in ENGINES:
+            per[kernel][mechanism] = round(
+                measure_mechanism(mechanism, reps, core_class(kernel)), 1
+            )
+        ref, fused = per["reference"][mechanism], per["fused"][mechanism]
         print(
-            f"{mechanism:<14}reference {per_ref[mechanism]:>10.1f}  "
-            f"batched {per_bat[mechanism]:>10.1f} instrs/sec  "
-            f"(x{per_bat[mechanism] / per_ref[mechanism]:.2f})",
+            f"{mechanism:<14}reference {ref:>10.1f}  "
+            f"fused {fused:>10.1f} instrs/sec  (x{fused / ref:.2f})",
             flush=True,
         )
-    agg_ref = round(aggregate(per_ref), 1)
-    agg_bat = round(aggregate(per_bat), 1)
+    engines = {
+        kernel: {"instrs_per_sec": ips, "aggregate": round(aggregate(ips), 1)}
+        for kernel, ips in per.items()
+    }
+    ref, fused = per["reference"], per["fused"]
+    speedup = {mech: round(fused[mech] / ref[mech], 2) for mech in MECHANISMS}
+    speedup["aggregate"] = round(
+        engines["fused"]["aggregate"] / engines["reference"]["aggregate"], 3
+    )
     return {
-        "protocol": _protocol_block(reps, "batched-vs-reference"),
-        "instrs_per_sec": per_bat,
-        "aggregate": agg_bat,
-        "reference": {
-            "instrs_per_sec": per_ref,
-            "aggregate": agg_ref,
+        **_stamp(reps),
+        "engines": engines,
+        "fused_speedup": speedup,
+        "baseline": {
+            "note": "pre-optimization engine (growth seed), same protocol",
+            "instrs_per_sec": BASELINE_IPS,
+            "aggregate": round(aggregate(BASELINE_IPS), 1),
         },
-        "speedup_vs_reference": {
-            mech: round(per_bat[mech] / per_ref[mech], 2) for mech in per_bat
-        },
-        "aggregate_speedup_vs_reference": round(agg_bat / agg_ref, 3),
     }
 
 
 def check_gate(
     report: dict, baseline: dict, max_drop: float
-) -> tuple[list[tuple[str, float, float, float, bool]], bool]:
-    """Compare a fresh report against a committed baseline.
+) -> tuple[list[tuple[str, float | None, float, float | None, bool]], bool]:
+    """Gate each kernel of a fresh report against its own baseline entry.
 
     Returns ``(rows, ok)`` where each row is ``(name, baseline_ips,
-    measured_ips, delta_fraction, within_gate)``.  The gate trips when
-    any mechanism -- or the aggregate -- drops by more than ``max_drop``
-    (a fraction, e.g. ``0.15``).  Improvements never trip it.
+    measured_ips, delta_fraction, within_gate)`` and ``name`` is
+    ``kernel/mechanism`` or ``kernel/aggregate``.  A row trips the gate
+    when it drops by more than ``max_drop`` (a fraction, e.g. ``0.15``)
+    -- improvements never do -- or when the baseline lacks it: its
+    ``baseline_ips`` and ``delta_fraction`` are then ``None``, so a stale
+    or mismatched baseline fails loudly instead of gating nothing.
     """
     rows = []
-    ok = True
-    base_ips = baseline.get("instrs_per_sec", {})
-    for mech, now in report["instrs_per_sec"].items():
-        base = base_ips.get(mech)
-        if not base:
-            continue
-        delta = now / base - 1.0
-        within = delta >= -max_drop
-        ok = ok and within
-        rows.append((mech, base, now, delta, within))
-    base_agg = baseline.get("aggregate")
-    if base_agg:
-        delta = report["aggregate"] / base_agg - 1.0
-        within = delta >= -max_drop
-        ok = ok and within
-        rows.append(("aggregate", base_agg, report["aggregate"], delta, within))
-    return rows, ok
+    base_engines = baseline.get("engines", {})
+    for kernel, entry in report["engines"].items():
+        base_entry = base_engines.get(kernel, {})
+        base_ips = {
+            **base_entry.get("instrs_per_sec", {}),
+            "aggregate": base_entry.get("aggregate"),
+        }
+        for name, now in {
+            **entry["instrs_per_sec"], "aggregate": entry["aggregate"]
+        }.items():
+            base = base_ips.get(name)
+            if not base:
+                rows.append((f"{kernel}/{name}", None, now, None, False))
+                continue
+            delta = now / base - 1.0
+            rows.append((f"{kernel}/{name}", base, now, delta, delta >= -max_drop))
+    return rows, all(within for *_, within in rows)
 
 
 def format_gate_summary(
-    rows: list[tuple[str, float, float, float, bool]],
+    rows: list[tuple[str, float | None, float, float | None, bool]],
     ok: bool,
     max_drop: float,
 ) -> str:
@@ -218,10 +221,15 @@ def format_gate_summary(
         f"### Engine perf gate ({'PASS' if ok else 'FAIL'}, "
         f"max drop {max_drop:.0%})",
         "",
-        "| mechanism | baseline (instrs/s) | measured (instrs/s) | delta | gate |",
+        "| kernel/mechanism | baseline (instrs/s) | measured (instrs/s) | delta | gate |",
         "|---|---:|---:|---:|---|",
     ]
     for name, base, now, delta, within in rows:
+        if base is None:
+            lines.append(
+                f"| {name} | missing | {now:.1f} | - | **MISSING FROM BASELINE** |"
+            )
+            continue
         lines.append(
             f"| {name} | {base:.1f} | {now:.1f} | {delta:+.1%} "
             f"| {'ok' if within else '**REGRESSION**'} |"
@@ -232,36 +240,26 @@ def format_gate_summary(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.sim.perfbench",
-        description="Measure engine throughput and write BENCH_engine.json.",
+        description="Measure both cycle kernels interleaved and write "
+        "the engine perf ledger (BENCH_engine.json).",
     )
     parser.add_argument(
         "--reps", type=int, default=3, help="best-of repetitions (default 3)"
     )
     parser.add_argument(
-        "--output",
-        default=None,
-        help="output path (default BENCH_engine.json, or "
-        "BENCH_batched.json with --engine-compare)",
-    )
-    parser.add_argument(
-        "--engine", default=None, metavar="NAME",
-        help="engine backend to measure (reference|batched; default "
-        "$REPRO_ENGINE, else reference)",
-    )
-    parser.add_argument(
-        "--engine-compare", action="store_true",
-        help="measure reference and batched interleaved and report the "
-        "batched-vs-reference speedup",
+        "--output", default="BENCH_engine.json",
+        help="output path (default BENCH_engine.json)",
     )
     parser.add_argument(
         "--min-speedup", type=float, default=None, metavar="FACTOR",
-        help="with --engine-compare: exit 1 unless the batched engine's "
-        "aggregate throughput is at least FACTOR times the reference's",
+        help="exit 1 unless the fused kernel's aggregate throughput is at "
+        "least FACTOR times the reference kernel's",
     )
     parser.add_argument(
         "--baseline", metavar="FILE", default=None,
         help="committed BENCH_engine.json to gate against; exit 1 when "
-        "any mechanism (or the aggregate) regresses past --max-drop",
+        "either kernel's mechanism (or aggregate) regresses past "
+        "--max-drop or is missing from FILE",
     )
     parser.add_argument(
         "--max-drop", type=float, default=0.15, metavar="FRACTION",
@@ -276,49 +274,39 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not 0 <= args.max_drop < 1:
         parser.error(f"--max-drop must be in [0, 1), got {args.max_drop}")
-    if args.min_speedup is not None and not args.engine_compare:
-        parser.error("--min-speedup requires --engine-compare")
-    if args.engine_compare and args.engine:
-        parser.error("--engine-compare measures both engines; drop --engine")
-    output = args.output
-    gate_failed = False
-    if args.engine_compare:
-        output = output or "BENCH_batched.json"
-        report = run_compare(reps=args.reps)
-        speedup = report["aggregate_speedup_vs_reference"]
-        line = (
-            f"\nbatched {report['aggregate']:.1f} vs reference "
-            f"{report['reference']['aggregate']:.1f} instrs/sec "
-            f"(x{speedup:.3f} aggregate)"
+    # Read the baseline before measuring: --output may name the same file.
+    baseline = None
+    if args.baseline is not None:
+        with open(args.baseline) as fh:
+            baseline = json.load(fh)
+    report = run_compare(reps=args.reps)
+    speedup = report["fused_speedup"]["aggregate"]
+    line = (
+        f"\nfused {report['engines']['fused']['aggregate']:.1f} vs reference "
+        f"{report['engines']['reference']['aggregate']:.1f} instrs/sec "
+        f"(x{speedup:.3f} aggregate)"
+    )
+    ok = True
+    if args.min_speedup is not None:
+        ok = speedup >= args.min_speedup
+        line += (
+            f" -- gate >= x{args.min_speedup:.2f}: "
+            f"{'PASS' if ok else 'FAIL'}"
         )
-        if args.min_speedup is not None:
-            ok = speedup >= args.min_speedup
-            gate_failed = not ok
-            line += (
-                f" -- gate >= x{args.min_speedup:.2f}: "
-                f"{'PASS' if ok else 'FAIL'}"
-            )
-        print(line + f" -> {output}")
-    else:
-        output = output or "BENCH_engine.json"
-        report = run(reps=args.reps, engine=args.engine)
-        print(f"\naggregate {report['aggregate']:.1f} instrs/sec "
-              f"({report['aggregate_speedup']:.2f}x baseline) -> {output}")
-    with open(output, "w") as fh:
+    print(line + f" -> {args.output}")
+    with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    if args.baseline is None:
-        return 1 if gate_failed else 0
-    with open(args.baseline) as fh:
-        baseline = json.load(fh)
-    rows, ok = check_gate(report, baseline, args.max_drop)
-    summary = format_gate_summary(rows, ok, args.max_drop)
+    if baseline is None:
+        return 0 if ok else 1
+    rows, within = check_gate(report, baseline, args.max_drop)
+    summary = format_gate_summary(rows, within, args.max_drop)
     print("\n" + summary, end="")
     summary_path = args.summary or os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:
         with open(summary_path, "a") as fh:
             fh.write(summary + "\n")
-    return 0 if ok and not gate_failed else 1
+    return 0 if ok and within else 1
 
 
 if __name__ == "__main__":

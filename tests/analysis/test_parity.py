@@ -1,7 +1,7 @@
 """Tests for the kernel-parity pass (``repro.analysis.parity``).
 
 The pass diffs the mutation/hook fact sets of the reference pipeline
-against the fused batched kernel.  The shipped tree must verify clean,
+against the fused kernel.  The shipped tree must verify clean,
 the self-test must catch a seeded drift, and the diff checker is
 exercised on synthetic inputs.
 """

@@ -3,6 +3,7 @@ manifest lineage."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -50,8 +51,6 @@ def test_warm_hash_is_part_of_the_cache_key(env):
     assert cold.cache_token() != warm.cache_token()
     # ...but the *location* of the checkpoint is not: moving the store
     # must not invalidate cached results.
-    import dataclasses
-
     moved = dataclasses.replace(warm, warm_from="/elsewhere/warm.ckpt")
     assert moved.cache_token() == warm.cache_token()
 
@@ -77,6 +76,19 @@ def test_warm_sweep_hits_cache_on_second_run(env, monkeypatch):
     first = run_cells(make_specs())
     second = run_cells(make_specs())
     assert [r.cycles for r in first] == [r.cycles for r in second]
+
+
+def test_warm_cells_match_across_kernels(env, monkeypatch):
+    # The donor always warms on the reference core; cells attach to it
+    # under the default (fused) kernel and must equal the reference run.
+    monkeypatch.setenv("REPRO_WARM_CKPT", "1")
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    fused = run_cells(make_specs())
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    reference = run_cells(make_specs())
+    for got, want in zip(fused, reference):
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert len({r.checkpoint["hash"] for r in fused + reference}) == 1
 
 
 def test_cold_runs_record_null_lineage(env):

@@ -1,4 +1,4 @@
-"""Kernel equivalence: a cell run on the fused ``batched`` kernel must be
+"""Kernel equivalence: a cell run on the ``fused`` kernel must be
 bit-identical to the reference kernel for every mechanism -- same
 ``SimResult``, same full ``SimStats`` dict, same architectural digest."""
 
@@ -27,9 +27,9 @@ def _spec(mechanism, workload="compress"):
 
 def _assert_same_cell(spec):
     reference = run_cell(spec, engine="reference")
-    batched = run_cell(spec, engine="batched")
-    assert batched == reference
-    assert batched.stats.as_dict() == reference.stats.as_dict()
+    fused = run_cell(spec, engine="fused")
+    assert fused == reference
+    assert fused.stats.as_dict() == reference.stats.as_dict()
 
 
 def _digest(spec, engine):
@@ -49,7 +49,7 @@ def _digest(spec, engine):
 def test_batch_of_one_matches_reference(mechanism):
     spec = _spec(mechanism)
     _assert_same_cell(spec)
-    assert _digest(spec, "batched") == _digest(spec, "reference")
+    assert _digest(spec, "fused") == _digest(spec, "reference")
 
 
 @pytest.mark.parametrize("workload", ["gcc", "murphi", ("compress", "gcc")])

@@ -1,10 +1,10 @@
-"""Engine-diff fuzzing: the batched kernel fuzzed against the reference
+"""Engine-diff fuzzing: the fused kernel fuzzed against the reference
 kernel, plus the oracle self-test proving a skewed kernel is caught."""
 
 import pytest
 
 import repro.faults.fuzz as fuzz_mod
-from repro.engine.core import BatchedSMTCore
+from repro.engine.core import FusedSMTCore
 from repro.faults.cli import main as fuzz_main
 from repro.faults.fuzz import fuzz, make_case, run_engine_diff_case
 
@@ -30,7 +30,7 @@ def test_cli_engine_diff_smoke(capsys):
     assert "0 failure(s)" in capsys.readouterr().out
 
 
-class _SkewedCore(BatchedSMTCore):
+class _SkewedCore(FusedSMTCore):
     """A deliberately broken kernel: one phantom squash per run_to."""
 
     def run_to(self, watch, stop_cycle):

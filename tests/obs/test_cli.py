@@ -34,7 +34,10 @@ class TestCli:
         assert "validated 2 file(s): ok" in text
         doc = json.loads(out.read_text())
         assert doc["otherData"]["mechanism"] == "traditional"
-        assert json.loads(manifest.read_text())["workload"] == ["compress"]
+        written = json.loads(manifest.read_text())
+        assert written["workload"] == ["compress"]
+        # repro-trace builds a plain Simulator: the reference kernel.
+        assert written["engine_backend"] == "reference"
 
     def test_mix_runs_as_smt(self, tmp_path):
         out = tmp_path / "mix.trace.json"

@@ -40,12 +40,17 @@ class TestBuildAndValidate:
         sim, result, _ = _run()
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         assert build_manifest(result, sim.config)["engine_backend"] == (
+            "fused"
+        )
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        assert build_manifest(result, sim.config)["engine_backend"] == (
             "reference"
         )
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
-        assert build_manifest(result, sim.config)["engine_backend"] == (
-            "batched"
-        )
+        # A caller that built its own Simulator names its kernel.
+        monkeypatch.delenv("REPRO_ENGINE")
+        assert build_manifest(
+            result, sim.config, engine_backend="reference"
+        )["engine_backend"] == "reference"
 
     def test_validator_requires_engine_backend(self):
         sim, result, _ = _run()

@@ -90,7 +90,7 @@ def test_run_matrix_collects_every_spec():
     results = run_matrix(
         small,
         mechanisms=("traditional",),
-        engines=("batched",),
+        engines=("fused",),
         max_cycles=600_000,
         log=seen.append,
     )

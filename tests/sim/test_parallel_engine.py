@@ -2,6 +2,8 @@
 propagation, the pool-worker entry point, and pool bit-identity across
 kernels."""
 
+import json
+
 from repro.sim.config import MachineConfig
 from repro.sim.parallel import (
     _WORKER_ENV_KEYS,
@@ -29,16 +31,27 @@ class TestCacheKey:
         spec = _spec()
         monkeypatch.setenv("REPRO_ENGINE", "reference")
         reference_path = cache._path(spec)
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
-        batched_path = cache._path(spec)
-        assert reference_path != batched_path
+        monkeypatch.setenv("REPRO_ENGINE", "fused")
+        fused_path = cache._path(spec)
+        assert reference_path != fused_path
 
-    def test_batched_result_never_serves_reference_request(
+    def test_old_engine_name_keys_the_fused_cache_path(
         self, tmp_path, monkeypatch
     ):
         cache = ResultCache(tmp_path)
         spec = _spec()
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
+        paths = {}
+        for engine in ("batched", "fused", "reference"):
+            monkeypatch.setenv("REPRO_ENGINE", engine)
+            paths[engine] = cache._path(spec)
+        assert paths["batched"] == paths["fused"] != paths["reference"]
+
+    def test_fused_result_never_serves_reference_request(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ResultCache(tmp_path)
+        spec = _spec()
+        monkeypatch.setenv("REPRO_ENGINE", "fused")
         cache.put(spec, run_cell(spec))
         assert cache.get(spec) is not None
         monkeypatch.setenv("REPRO_ENGINE", "reference")
@@ -54,12 +67,18 @@ class TestBatchClaims:
     def test_run_cell_batch_matches_run_cell(self):
         specs = [_spec("traditional"), _spec("multithreaded")]
         expected = [run_cell(s, engine="reference") for s in specs]
-        assert run_cell_batch(specs, engine="batched") == expected
+        assert run_cell_batch(specs, engine="fused") == expected
         assert run_cell_batch(specs, engine="reference") == expected
 
-    def test_pool_is_bit_identical_across_engines(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
+    def test_pool_is_bit_identical_across_engines(self, tmp_path, monkeypatch):
+        # The default kernel on the pool against the reference kernel
+        # run serially; the manifests name the kernel the pool ran.
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         specs = [_spec("traditional"), _spec("quickstart"), _spec("hardware")]
         serial = [run_cell(s, engine="reference") for s in specs]
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
         assert run_cells(specs, jobs=2) == serial
+        cache = ResultCache()
+        for spec in specs:
+            manifest = json.loads(cache.manifest_path(spec).read_text())
+            assert manifest["engine_backend"] == "fused"
