@@ -559,16 +559,11 @@ REFERENCE_FILES = (
 )
 FUSED_FILES = ("engine/core.py",)
 
-#: Closure roots per side.  The fused side deliberately excludes
-#: ``step``/``_decode_fetch``: those entry points delegate whole stages
-#: back to the reference kernel, so walking them would launder reference
-#: facts into the fused set.
+#: Closure roots per side.  The fused side is the one fused loop;
+#: ``run_to``'s listener fallback delegates to the reference kernel, so
+#: walking it would launder reference facts into the fused set.
 REF_ROOTS = (("SMTCore", "run_to"),)
-FUSED_ROOTS = (
-    ("SMTCore", "_run_to_fused"),
-    ("SMTCore", "_decode_prio"),
-    ("SMTCore", "_fetch_prio"),
-)
+FUSED_ROOTS = (("SMTCore", "_run_to_fused"),)
 
 
 @dataclass

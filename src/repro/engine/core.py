@@ -32,6 +32,10 @@ execute, decode, fetch, in that order) with:
   zero simulated-state footprint, so deferring it cannot change
   results).
 
+Only :meth:`run_to` and :meth:`squash_from` (which mispredict and trap
+recovery reach from inside the loop) are fused; a single ``step()`` is
+the inherited reference :meth:`SMTCore.step`.
+
 Every state transition, counter update, and stall decision matches the
 reference paths bit-for-bit, which is what the kernel equivalence
 suite (``tests/engine/test_equivalence.py``) and ``repro-fuzz --engine-diff`` hold it to: identical
@@ -73,233 +77,16 @@ _FU_GROUPS = ("alu", "muldiv", "fp", "fpdiv", "mem")
 class FusedSMTCore(SMTCore):
     """Reference core with the per-cycle dispatch overhead fused away."""
 
-    # The fused loops never emit bus-listener events: every entry point
-    # (run_to, step's _decode_fetch, squash_from) falls back to the
-    # reference stages whenever ``self.listeners is not None``, so the
-    # emission sites are provably unreachable from fused code.  The
-    # parity pass (repro-lint parity) verifies each elision below still
-    # corresponds to a real reference-only fact.
+    # The fused paths never emit bus-listener events: both entry points
+    # (run_to and squash_from) fall back to the reference paths whenever
+    # ``self.listeners is not None``, so the emission sites are provably
+    # unreachable from fused code.  The parity pass (repro-lint parity)
+    # verifies each elision below still corresponds to a real
+    # reference-only fact.
     # parity: elided(listeners.fetch, fused paths bail to reference stages when listeners attached)
     # parity: elided(listeners.issue, fused paths bail to reference stages when listeners attached)
     # parity: elided(listeners.retire, fused paths bail to reference stages when listeners attached)
     # parity: elided(listeners.squash, fused paths bail to reference stages when listeners attached)
-
-    def step(self) -> None:
-        now = self.cycle
-        self._activity = False
-        if self._mech_tick is not None:
-            self._mech_tick(now)
-        self._retire(now)
-        self._execute(now)
-        self._decode_fetch(now)
-        self.cycle = now + 1
-        self.stats.cycles = now + 1
-
-    # ------------------------------------------------------------------
-    # Stage pair used by step(); run_to() inlines all of this.
-    # ------------------------------------------------------------------
-    def _decode_fetch(self, now: int) -> None:
-        if self.listeners is not None:
-            # Bus listeners fire mid-stage and may read state the fused
-            # loops keep in locals; give them the reference stages.
-            self._decode(now)
-            self._fetch(now)
-            return
-        stats = self.stats
-        squashed0 = stats.squashed
-        discarded0 = stats.overfetch_discarded
-        prio = self._fetch_priority()
-        self._decode_prio(now, prio)
-        if (
-            stats.squashed != squashed0
-            or stats.overfetch_discarded != discarded0
-        ):
-            # Decode squashed or discarded something: thread states /
-            # ROB depths may have moved, so the fetch order must too.
-            prio = self._fetch_priority()
-        self._fetch_prio(now, prio)
-
-    def _decode_prio(self, now: int, prio) -> None:
-        """``_decode`` against a precomputed priority order."""
-        config = self.config
-        budget = config.width
-        limits = config.limits
-        free_handler_decode = limits.no_fetch_bandwidth
-        no_window_overhead = limits.no_window_overhead
-        sched_delay = config.decode_latency + config.post_insert_delay
-        window = self.window
-        stats = self.stats
-        admit = self._admit
-        rename = self._rename
-        insert = window.insert
-        schedule = self._schedule_uop
-        reti = Opcode.RETI
-        squashed_state = UopState.SQUASHED
-        window_state = UopState.WINDOW
-        for thread in prio:
-            buf = thread.fetch_buffer
-            is_exc = thread.is_exception_thread
-            handler_free = free_handler_decode and is_exc
-            exc_id = None
-            if is_exc and thread.exc_instance is not None:
-                exc_id = thread.exc_instance.id
-            while buf and (budget > 0 or handler_free):
-                uop = buf[0]
-                if uop.avail_cycle > now:
-                    break
-                if uop.discard:
-                    buf.popleft()
-                    thread.rob.remove(uop)
-                    uop.state = squashed_state
-                    stats.overfetch_discarded += 1
-                    self._activity = True
-                    if not handler_free:
-                        budget -= 1
-                    continue
-                if not uop.is_handler:
-                    if (
-                        window._occupancy + window._reserved_total
-                        >= window.capacity
-                    ):
-                        break
-                elif not admit(thread, uop, now):
-                    break
-                buf.popleft()
-                if uop.inst.op is reti and is_exc:
-                    thread.fetch_done = True
-                    thread.overfetch_after_reti = False
-                rename(thread, uop)
-                if no_window_overhead and uop.is_handler:
-                    uop.free_slot = True
-                insert(uop, exc_id)
-                uop.insert_cycle = now
-                uop.min_sched_cycle = now + sched_delay
-                uop.state = window_state
-                schedule(uop)
-                self._activity = True
-                if not handler_free:
-                    budget -= 1
-            if budget <= 0 and not free_handler_decode:
-                break
-
-    def _fetch_prio(self, now: int, prio) -> None:
-        """``_fetch`` with ``_fetch_one`` inlined, against ``prio``."""
-        config = self.config
-        width = config.width
-        budget = width
-        free_handler_fetch = config.limits.no_fetch_bandwidth
-        predict_handler_length = config.predict_handler_length
-        ifetch = self._ifetch
-        l1_limit = now + self._l1_latency
-        fetch_latency = self._fetch_latency
-        bpu_predict = self.bpu.predict
-        faults = self.faults
-        stats = self.stats
-        itlb = self.itlb
-        mechanism = self.mechanism
-        halt = Opcode.HALT
-        reti = Opcode.RETI
-        exception = ThreadState.EXCEPTION
-        seq = self._next_seq
-        for thread in prio:
-            handler_free = free_handler_fetch and thread.state is exception
-            if budget <= 0 and not handler_free:
-                continue
-            if not thread.can_fetch(now):
-                continue
-            buf = thread.fetch_buffer
-            cap = thread.fetch_buffer_size
-            per_thread = width
-            tid = thread.tid
-            rob = thread.rob
-            insts = thread.program.insts
-            n_insts = len(insts)
-            # Loop-invariant thread fields (nothing inside a thread's own
-            # fetch loop mutates them except the RETI-overfetch path,
-            # which updates both the local and the field).
-            fetch_priv = thread.fetch_priv
-            is_exc = thread.state is exception
-            overfetch = thread.overfetch_after_reti
-            pc = thread.pc
-            while per_thread > 0 and (budget > 0 or handler_free) and len(buf) < cap:
-                if pc < 0 or pc >= n_insts:
-                    thread.fetch_stall_until = _FAR_FUTURE
-                    break
-                inst = insts[pc]
-                if inst.privileged and not fetch_priv:
-                    thread.fetch_stall_until = _FAR_FUTURE
-                    break
-                if (
-                    itlb is not None
-                    and not fetch_priv
-                    and itlb.lookup(vpn_of(pc * 4)) is None
-                ):
-                    stats.itlb_miss_events += 1
-                    self._activity = True
-                    # The mechanism may redirect this thread (traditional
-                    # trap) and may allocate uops of its own (quickstart
-                    # materializes a prefetched handler image): sync the
-                    # cached pc AND seq counter around the hook.
-                    thread.pc = pc
-                    if mechanism is not None:
-                        self._next_seq = seq
-                        mechanism.on_itlb_miss(thread, pc, now)
-                        seq = self._next_seq
-                    pc = thread.pc
-                    break
-                ready = ifetch(pc * 4, now)
-                if ready > l1_limit:
-                    thread.fetch_stall_until = ready
-                    break
-                uop = Uop(seq, tid, pc, inst)
-                seq += 1
-                uop.fetch_cycle = now
-                uop.avail_cycle = now + fetch_latency
-                uop.is_handler = inst.privileged
-                if overfetch:
-                    uop.discard = True
-                rob.append(uop)
-                buf.append(uop)
-                stats.fetched += 1
-                self._activity = True
-                op = inst.op
-                if op is halt:
-                    thread.fetch_wait_uop = uop
-                    break
-                if inst.is_branch:
-                    pred = bpu_predict(pc, inst)
-                    uop.checkpoint = pred.checkpoint
-                    uop.pred_taken = pred.taken
-                    uop.pred_target = pred.target
-                    if faults is not None and inst.is_cond_branch:
-                        faults.poison_branch(uop, now)
-                    if op is reti:
-                        if is_exc:
-                            if predict_handler_length:
-                                thread.fetch_done = True
-                                break
-                            thread.overfetch_after_reti = True
-                            overfetch = True
-                            pc += 1
-                            per_thread -= 1
-                            if not handler_free:
-                                budget -= 1
-                            continue
-                        thread.fetch_wait_uop = uop
-                        break
-                    pc = uop.pred_target if uop.pred_taken else pc + 1
-                else:
-                    pc += 1
-                per_thread -= 1
-                if not handler_free:
-                    budget -= 1
-            thread.pc = pc
-        self._next_seq = seq
-        if budget > 0 and self._mech_fetch_idle is not None:
-            used = self._mech_fetch_idle(now, budget)
-            if used:
-                budget -= used
-                self._activity = True
 
     # ------------------------------------------------------------------
     # Squash (reference squash_from with _squash_uop inlined; squashes

@@ -102,10 +102,6 @@ class Row:
             return 0.0
         return (self.cycles - self.perfect_cycles) / self.cycles
 
-    @property
-    def speedup_over_perfect(self) -> float:
-        return self.perfect_cycles / self.cycles if self.cycles else 0.0
-
 
 @dataclass
 class ExperimentResult:

@@ -243,10 +243,6 @@ class Cache:
                 lines[line_addr] = _Line(tag=line_addr, last_use=self._use_clock)
         return last - first + 1
 
-    @property
-    def outstanding_misses(self) -> int:
-        return len(self._mshrs)
-
     def reset(self) -> None:
         """Drop all contents and statistics (cold cache)."""
         self._sets = [dict() for _ in range(self.num_sets)]

@@ -195,11 +195,6 @@ class SMTCore:
         return thread
 
     @property
-    def pal_entry(self) -> int | None:
-        """Entry PC of the DTLB miss handler (the common case)."""
-        return self.pal_entries.get("dtlb_miss")
-
-    @property
     def handler_length(self) -> int:
         """Common-case DTLB handler length (reservations, quick-start)."""
         return self.handler_lengths.get("dtlb_miss", 10)
@@ -220,10 +215,6 @@ class SMTCore:
             if thread.state is ThreadState.IDLE:
                 return thread
         return None
-
-    @property
-    def app_threads(self) -> list[ThreadContext]:
-        return [t for t in self.threads if t.state is ThreadState.NORMAL]
 
     # ------------------------------------------------------------------
     # The cycle loop.

@@ -70,12 +70,6 @@ class InstructionWindow:
         """May an application-thread uop take a slot this cycle?"""
         return self._occupancy + self._reserved_total < self.capacity
 
-    def can_insert_handler(self, exc_id: int | None) -> bool:
-        """May a handler uop take a slot (using its reservation if any)?"""
-        if self._occupancy < self.capacity:
-            return True
-        return False
-
     def insert(self, uop: "Uop", exc_id: int | None = None) -> None:
         """Place a uop into the window (caller checked admissibility).
 

@@ -94,11 +94,6 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
         help="persistent job-queue directory (enables POST /jobs; "
         "jobs resume after a crash)",
     )
-    parser.add_argument(
-        "--handoff", action="store_true",
-        help="on start, pull store entries this node now owns from "
-        "its peers (warm handoff after join/restart)",
-    )
 
 
 def _build_server(args: argparse.Namespace):
@@ -123,7 +118,6 @@ def _build_server(args: argparse.Namespace):
         node_id=args.node_url,
         peers=tuple(args.peer),
         queue=JobQueue(args.jobs_dir) if args.jobs_dir else None,
-        handoff=args.handoff,
     )
     return SweepHTTPServer(service, host=args.host, port=args.port)
 

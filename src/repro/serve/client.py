@@ -148,7 +148,7 @@ def run_cells_via_server(
 
 
 # ----------------------------------------------------------------------
-# Peer-to-peer calls (cluster mode: forwarding, warm handoff, jobs).
+# Peer-to-peer calls (cluster mode: forwarding and jobs).
 # All blocking; the service runs them on its thread executor.
 
 def _peer_request(
@@ -156,7 +156,6 @@ def _peer_request(
     method: str,
     path: str,
     payload: dict | None = None,
-    headers: dict[str, str] | None = None,
     timeout: float = 600.0,
 ) -> bytes:
     """One JSON request against a peer; raises :class:`ServeError` on
@@ -169,7 +168,7 @@ def _peer_request(
             method,
             path,
             body,
-            {"Content-Type": "application/json", **(headers or {})},
+            {"Content-Type": "application/json"},
         )
         response = conn.getresponse()
         data = response.read()
@@ -185,60 +184,18 @@ def _peer_request(
         conn.close()
 
 
-def forward_cell(url: str, cell: dict, hops: int = 1) -> tuple[str, SimResult]:
+def forward_cell(url: str, cell: dict) -> tuple[str, SimResult]:
     """Resolve one cell on its ring owner (``POST /cell``).
 
-    The ``X-Repro-Hops`` header tells the owner this request already
-    travelled a hop, so it must resolve locally -- the loop-prevention
-    contract that bounds any cell to one forward no matter how
-    inconsistent two nodes' peer lists get.
+    The owner always resolves a ``/cell`` request locally and never
+    forwards it again, so a cell travels at most one hop.
     """
-    data = _peer_request(
-        url,
-        "POST",
-        "/cell",
-        payload=cell,
-        headers={"X-Repro-Hops": str(hops)},
-    )
+    data = _peer_request(url, "POST", "/cell", payload=cell)
     event = json.loads(data)
     key = event.get("key")
     if not isinstance(key, str):
         raise ServeError(f"peer cell response carries no key: {event!r}")
     return key, decode_result(event)
-
-
-def fetch_store_keys(url: str) -> list[str]:
-    """A peer's published content addresses (``GET /store/keys``)."""
-    event = json.loads(_peer_request(url, "GET", "/store/keys"))
-    keys = event.get("keys")
-    if not isinstance(keys, list):
-        raise ServeError(f"bad /store/keys response: {event!r}")
-    return [k for k in keys if isinstance(k, str)]
-
-
-def fetch_store_entries(url: str, keys: list[str]) -> dict[str, tuple[bytes, str]]:
-    """Batched raw-entry fetch for warm handoff (``POST /store/fetch``).
-
-    Entries come back as opaque base64 pickle bytes plus a sha-256 of
-    those bytes.  The content address hashes the *spec*, not the bytes,
-    so the digest rides along to :meth:`ContentStore.put_raw`, which
-    verifies the payload before publishing it.  Returns
-    ``key -> (bytes, sha256)``; malformed entries are dropped.
-    """
-    event = json.loads(
-        _peer_request(url, "POST", "/store/fetch", payload={"keys": keys})
-    )
-    entries = event.get("entries")
-    if not isinstance(entries, dict):
-        raise ServeError(f"bad /store/fetch response: {event!r}")
-    out: dict[str, tuple[bytes, str]] = {}
-    for key, value in entries.items():
-        if not isinstance(value, dict):
-            continue
-        data, digest = value.get("data"), value.get("sha256")
-        if isinstance(data, str) and isinstance(digest, str):
-            out[key] = (base64.b64decode(data), digest)
-    return out
 
 
 def submit_job(url: str, payload: dict) -> dict:

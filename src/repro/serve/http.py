@@ -24,14 +24,8 @@ Cluster-mode routes (docs/SERVICE.md "Cluster mode"):
 ``POST /cell``
     One cell in wire format; resolved *on this node* and returned as a
     single JSON object with its content ``key`` and pickled result.
-    This is the peer-forwarding hop: the ``X-Repro-Hops`` header counts
-    hops taken, and any request arriving with hops >= 1 is pinned local
-    (so a cell travels at most one hop, loops impossible).  ``/sweep``
-    honours the same header.
-``GET /store/keys`` / ``POST /store/fetch``
-    Warm-handoff transport: list this node's content addresses; fetch a
-    batch of entries as raw base64 pickle bytes, each with a sha-256 of
-    the bytes the receiver verifies before publishing.
+    This is the peer-forwarding hop: ``/cell`` never forwards, so a
+    cell travels at most one hop and routing loops are impossible.
 ``POST /jobs`` / ``GET /jobs/<id>`` / ``GET /jobs/<id>/results``
     The persistent job queue (:mod:`repro.serve.queue`): submit a sweep
     durably, poll its progress, stream its finished cells as NDJSON out
@@ -47,23 +41,18 @@ trivial -- concurrency comes from asyncio, not keep-alive.
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
 import json
-import pickle
 
 from repro.serve.queue import JobError
 from repro.serve.service import (
     CellOutcome,
     SweepRequestError,
     SweepService,
+    cell_line,
     expand_sweep,
     spec_from_dict,
     summarize,
 )
-
-#: Largest /store/fetch batch (warm handoff pulls in chunks anyway).
-MAX_FETCH_KEYS = 256
 
 #: Largest accepted request body (sweep specs are small; 8 MiB leaves
 #: room for huge explicit cell lists without inviting memory abuse).
@@ -77,32 +66,6 @@ _REASONS = {
     413: "Payload Too Large",
     500: "Internal Server Error",
 }
-
-
-def cell_line(
-    index: int, outcome: CellOutcome, include_results: bool
-) -> dict:
-    """The NDJSON line for one resolved cell."""
-    line = {
-        "kind": "cell",
-        "index": index,
-        "key": outcome.key,
-        "workload": list(outcome.spec.workload)
-        if isinstance(outcome.spec.workload, tuple)
-        else outcome.spec.workload,
-        "mechanism": outcome.spec.config.mechanism,
-        "cycles": outcome.result.cycles,
-        "retired_user": outcome.result.retired_user,
-        "committed_fills": outcome.result.committed_fills,
-        "ipc": round(outcome.result.ipc, 6),
-        "cached": outcome.cached,
-        "deduped": outcome.deduped,
-    }
-    if include_results:
-        line["result_b64"] = base64.b64encode(
-            pickle.dumps(outcome.result)
-        ).decode("ascii")
-    return line
 
 
 class SweepHTTPServer:
@@ -127,8 +90,6 @@ class SweepHTTPServer:
         # Crash recovery: any job left incomplete by the previous
         # incarnation starts draining again before we take traffic.
         self.service.resume_jobs()
-        if self.service.peers and self.service.handoff_on_start:
-            await self.service.warm_handoff()
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -150,15 +111,12 @@ class SweepHTTPServer:
     ) -> None:
         try:
             try:
-                method, target, body, headers = await self._read_request(
-                    reader
-                )
+                method, target, body = await self._read_request(reader)
             except _HTTPError as exc:
                 await self._respond_json(
                     writer, exc.status, {"error": exc.message}
                 )
                 return
-            hops = _parse_hops(headers.get("x-repro-hops"))
             target, _, query = target.partition("?")
             if target == "/healthz" and method == "GET":
                 await self._respond_json(writer, 200, {"ok": True})
@@ -172,16 +130,9 @@ class SweepHTTPServer:
                         writer, 405, {"error": "POST /sweep"}
                     )
                 else:
-                    await self._handle_sweep(writer, body, hops)
+                    await self._handle_sweep(writer, body)
             elif target == "/cell" and method == "POST":
                 await self._handle_cell(writer, body)
-            elif target == "/store/keys" and method == "GET":
-                keys = await asyncio.get_running_loop().run_in_executor(
-                    None, self.service.store.keys
-                )
-                await self._respond_json(writer, 200, {"keys": keys})
-            elif target == "/store/fetch" and method == "POST":
-                await self._handle_store_fetch(writer, body)
             elif target == "/jobs" and method == "POST":
                 await self._handle_job_submit(writer, body)
             elif target.startswith("/jobs/"):
@@ -201,7 +152,7 @@ class SweepHTTPServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, bytes, dict[str, str]]:
+    ) -> tuple[str, str, bytes]:
         try:
             request_line = await reader.readline()
         except (ValueError, asyncio.LimitOverrunError):
@@ -211,13 +162,11 @@ class SweepHTTPServer:
             raise _HTTPError(400, "malformed request line")
         method, target, _version = parts
         content_length = 0
-        headers: dict[str, str] = {}
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
             if name.strip().lower() == "content-length":
                 try:
                     content_length = int(value.strip())
@@ -234,10 +183,10 @@ class SweepHTTPServer:
             if content_length
             else b""
         )
-        return method, target, body, headers
+        return method, target, body
 
     async def _handle_sweep(
-        self, writer: asyncio.StreamWriter, body: bytes, hops: int = 0
+        self, writer: asyncio.StreamWriter, body: bytes
     ) -> None:
         try:
             payload = json.loads(body.decode("utf-8") or "null")
@@ -263,7 +212,7 @@ class SweepHTTPServer:
         outcomes: list[CellOutcome | None] = [None] * len(specs)
         try:
             async for index, outcome in self.service.stream_cells(
-                specs, warm=options["warm"], forward=hops < 1
+                specs, warm=options["warm"]
             ):
                 outcomes[index] = outcome
                 await self._send_chunk(
@@ -317,47 +266,6 @@ class SweepHTTPServer:
             )
             return
         await self._respond_json(writer, 200, cell_line(0, outcome, True))
-
-    async def _handle_store_fetch(
-        self, writer: asyncio.StreamWriter, body: bytes
-    ) -> None:
-        try:
-            payload = json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            await self._respond_json(
-                writer, 400, {"error": f"body is not JSON: {exc}"}
-            )
-            return
-        keys = payload.get("keys") if isinstance(payload, dict) else None
-        if not isinstance(keys, list) or not all(
-            isinstance(k, str) for k in keys
-        ):
-            await self._respond_json(
-                writer, 400, {"error": "body must be {'keys': [...]}"}
-            )
-            return
-        if len(keys) > MAX_FETCH_KEYS:
-            await self._respond_json(
-                writer,
-                413,
-                {"error": f"at most {MAX_FETCH_KEYS} keys per fetch"},
-            )
-            return
-        loop = asyncio.get_running_loop()
-        entries: dict[str, dict[str, str]] = {}
-        for key in keys:
-            data = await loop.run_in_executor(
-                None, self.service.store.read_raw, key
-            )
-            if data is not None:
-                # The content address hashes the spec, not the bytes;
-                # the digest is what lets the receiver verify the
-                # payload itself before publishing it.
-                entries[key] = {
-                    "data": base64.b64encode(data).decode("ascii"),
-                    "sha256": hashlib.sha256(data).hexdigest(),
-                }
-        await self._respond_json(writer, 200, {"entries": entries})
 
     async def _handle_job_submit(
         self, writer: asyncio.StreamWriter, body: bytes
@@ -468,15 +376,6 @@ class SweepHTTPServer:
         )
         writer.write(data)
         await writer.drain()
-
-
-def _parse_hops(raw: str | None) -> int:
-    """The ``X-Repro-Hops`` header (absent/garbage = 0 = an origin
-    request, eligible for forwarding)."""
-    try:
-        return max(0, int(raw or 0))
-    except ValueError:
-        return 0
 
 
 class _HTTPError(Exception):

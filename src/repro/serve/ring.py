@@ -16,8 +16,8 @@ Properties the tests pin down (``tests/serve/test_ring.py``):
   every key, regardless of insertion order;
 * **minimal movement** -- adding a node moves only the keys that node
   now owns (roughly ``1/n`` of them), and removing a node moves only
-  the keys it owned; everything else stays put, which is what makes
-  rebalancing a warm-handoff event rather than a recompute storm;
+  the keys it owned; everything else stays put, so a membership change
+  reshuffles only that share instead of the whole grid;
 * **replica ordering** -- :meth:`HashRing.replicas` walks clockwise
   from the owner and yields *distinct* nodes, so an N-way replica set
   is stable and starts with the owner.

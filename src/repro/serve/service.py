@@ -41,8 +41,10 @@ run, a pool worker, or the serial fallback) never changes *what* it is.
 from __future__ import annotations
 
 import asyncio
+import base64
 import dataclasses
 import os
+import pickle
 import time
 from dataclasses import dataclass
 from typing import AsyncIterator
@@ -328,7 +330,6 @@ class SweepService:
         node_id: str | None = None,
         peers: list[str] | tuple[str, ...] = (),
         queue: JobQueue | None = None,
-        handoff: bool = False,
     ) -> None:
         self.store = store if store is not None else ContentStore()
         self.pools = default_pools() if pools is None else pools
@@ -362,13 +363,10 @@ class SweepService:
         self.cells_owned = 0
         self.cells_forwarded = 0
         self.forward_fallbacks = 0
-        self.handoff_pulled = 0
         if self.node_id:
             # Manifests published by this store now carry the node's
             # identity + routing counters (obs.manifest "node" block).
             self.store.node_info = self.node_info
-        #: Pull owned entries from peers when the HTTP server starts.
-        self.handoff_on_start = handoff
         #: Persistent job queue (None = /jobs disabled).
         self.queue = queue
         self._job_tasks: dict[str, asyncio.Task] = {}
@@ -511,7 +509,7 @@ class SweepService:
         self.cells_forwarded += 1
         # Keep a local copy: the forwarding node becomes a replica, so
         # repeat sweeps here are store hits and the cell survives the
-        # owner's death (warm-handoff's standing counterpart).
+        # owner's death.
         await loop.run_in_executor(None, self.store.put, spec, result)
         self._publish(key, result)
 
@@ -524,53 +522,7 @@ class SweepService:
             "owned": self.cells_owned,
             "forwarded": self.cells_forwarded,
             "fallbacks": self.forward_fallbacks,
-            "handoff_pulled": self.handoff_pulled,
         }
-
-    async def warm_handoff(self) -> int:
-        """Pull entries this node owns from its peers' stores.
-
-        Run at join (and harmless any time): for every peer, list its
-        store keys, keep the ones the ring says are *ours* and that we
-        do not already hold, and fetch them in batches as raw bytes.
-        Rebalancing after membership change is thereby a cache-warm
-        event, not a recompute storm.  Returns how many entries landed.
-        """
-        from repro.serve.client import fetch_store_entries, fetch_store_keys
-
-        if self.ring is None:
-            return 0
-        loop = asyncio.get_running_loop()
-        pulled = 0
-        local = set(await loop.run_in_executor(None, self.store.keys))
-        for peer in self.peers:
-            try:
-                remote = await loop.run_in_executor(
-                    None, fetch_store_keys, peer
-                )
-            except Exception:
-                continue  # dead peer: nothing to pull from it
-            wanted = [
-                key
-                for key in remote
-                if key not in local and self.ring.owner(key) == self.node_id
-            ]
-            for start in range(0, len(wanted), 64):
-                batch = wanted[start : start + 64]
-                try:
-                    entries = await loop.run_in_executor(
-                        None, fetch_store_entries, peer, batch
-                    )
-                except Exception:
-                    break
-                for key, (data, digest) in entries.items():
-                    if await loop.run_in_executor(
-                        None, self.store.put_raw, key, data, digest
-                    ):
-                        local.add(key)
-                        pulled += 1
-        self.handoff_pulled += pulled
-        return pulled
 
     @staticmethod
     async def _await_cell(
@@ -679,10 +631,8 @@ class SweepService:
         self, job_id: str, include_results: bool = True
     ) -> AsyncIterator[dict]:
         """NDJSON lines for ``GET /jobs/<id>/results``: every finished
-        cell straight from the content store, then a job summary."""
-        import base64
-        import pickle
-
+        cell straight from the content store, as the same
+        :func:`cell_line` a sweep streams, then a job summary."""
         loop = asyncio.get_running_loop()
         state = self.job_state(job_id)
         streamed = 0
@@ -692,32 +642,14 @@ class SweepService:
             # under warm-derived addresses, so recomputing the address
             # from the cold wire spec would miss every one of them.
             key = state.done[index]
-            data = await loop.run_in_executor(None, self.store.read_raw, key)
-            result = None
-            if data is not None:
-                try:
-                    result = pickle.loads(data)
-                except Exception:
-                    result = None
+            result = await loop.run_in_executor(None, self.store.read, key)
             if not isinstance(result, SimResult):
                 missing += 1  # evicted (or unreadable) since completion
                 continue
             spec = spec_from_dict(state.cells[index])
-            line = {
-                "kind": "cell",
-                "index": index,
-                "key": key,
-                "workload": state.cells[index]["workload"],
-                "mechanism": spec.config.mechanism,
-                "cycles": result.cycles,
-                "ipc": round(result.ipc, 6),
-                "cached": True,
-                "deduped": False,
-            }
-            if include_results:
-                line["result_b64"] = base64.b64encode(data).decode("ascii")
+            outcome = CellOutcome(spec, result, key, cached=True)
             streamed += 1
-            yield line
+            yield cell_line(index, outcome, include_results)
         yield {
             "kind": "job-summary",
             "job_id": job_id,
@@ -787,6 +719,33 @@ class SweepService:
                 ),
             }
         return stats
+
+
+def cell_line(
+    index: int, outcome: CellOutcome, include_results: bool
+) -> dict:
+    """The NDJSON line for one resolved cell (sweeps, ``/cell`` and job
+    results all stream this one format)."""
+    line = {
+        "kind": "cell",
+        "index": index,
+        "key": outcome.key,
+        "workload": list(outcome.spec.workload)
+        if isinstance(outcome.spec.workload, tuple)
+        else outcome.spec.workload,
+        "mechanism": outcome.spec.config.mechanism,
+        "cycles": outcome.result.cycles,
+        "retired_user": outcome.result.retired_user,
+        "committed_fills": outcome.result.committed_fills,
+        "ipc": round(outcome.result.ipc, 6),
+        "cached": outcome.cached,
+        "deduped": outcome.deduped,
+    }
+    if include_results:
+        line["result_b64"] = base64.b64encode(
+            pickle.dumps(outcome.result)
+        ).decode("ascii")
+    return line
 
 
 def summarize(outcomes: list[CellOutcome]) -> dict:

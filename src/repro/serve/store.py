@@ -16,7 +16,9 @@ with
   :func:`repro.obs.manifest.build_manifest`);
 * cross-process LRU: every hit touches the entry's mtime, so a store
   directory shared by several service processes still evicts globally
-  least-recently-used cells first.
+  least-recently-used cells first;
+* reads by content address (:meth:`ContentStore.read`), which is how a
+  job's results stream finds the cells its journal names.
 
 Because the layout and addressing are identical to ``ResultCache``, the
 service's store and the parallel runner's cache are the *same* cache: a
@@ -26,9 +28,7 @@ sweep run through ``run_cells`` warms the service and vice versa.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
-import pickle
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -38,8 +38,8 @@ from typing import Callable
 from repro.sim.parallel import CellSpec, ResultCache
 from repro.sim.simulator import SimResult
 
-#: What a content address looks like on the wire (the 40-hex-digit
-#: sha-256 prefix :meth:`ResultCache._path` files results under).
+#: What a content address looks like (the 40-hex-digit sha-256 prefix
+#: :meth:`ResultCache._path` files results under).
 _KEY_RE = re.compile(r"[0-9a-f]{40}")
 
 
@@ -124,65 +124,14 @@ class ContentStore(ResultCache):
         self._touch(self._path(spec).name)
         self._evict()
 
-    # -- raw entries (warm-handoff transport) ---------------------------
-    def keys(self) -> list[str]:
-        """Every published content address, sorted (``GET /store/keys``)."""
-        return sorted(path.stem for path in self.entries())
-
-    def read_raw(self, key: str) -> bytes | None:
-        """The published pickle bytes for ``key``, verbatim.
-
-        Warm handoff moves entries between nodes as raw bytes -- the
-        donor never unpickles, the receiver never re-simulates.  The
-        content address hashes the *spec*, not the bytes, so the wire
-        carries a sha-256 of the bytes alongside them and
-        :meth:`put_raw` verifies the payload before publishing.
-        """
+    def read(self, key: str) -> SimResult | None:
+        """The result stored under content address ``key`` (a job's
+        journaled key), or ``None`` when the key is malformed, evicted
+        or unreadable.  Counts no hit or miss: a job's results stream
+        re-reads what the job already resolved."""
         if not _KEY_RE.fullmatch(key):
-            return None  # never let a wire key escape the store dir
-        try:
-            return (self.directory / f"{key}.pkl").read_bytes()
-        except OSError:
-            return None
-
-    def put_raw(self, key: str, data: bytes, sha256: str | None = None) -> bool:
-        """Publish foreign pickle bytes under ``key`` (fsync + rename,
-        like :meth:`put`); counted as a put and subject to eviction.
-        No manifest is written -- the donor's manifest stays the audit
-        trail for the simulation itself.
-
-        The key hashes the spec, not the bytes, so the address alone
-        cannot vouch for a foreign payload.  Before publishing: the
-        bytes must match ``sha256`` when given (the ``/store/fetch``
-        wire digest, catching corruption and mis-batched entries), and
-        must unpickle to a :class:`SimResult` -- peers are already
-        trusted to be unpickled (forwarding does), but garbage must
-        never be cached and later served as an authentic result.
-        """
-        if not self.enabled() or not _KEY_RE.fullmatch(key):
-            return False
-        if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
-            return False
-        try:
-            if not isinstance(pickle.loads(data), SimResult):
-                return False
-        except Exception:
-            return False
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            path = self.directory / f"{key}.pkl"
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with tmp.open("wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            tmp.replace(path)
-        except OSError:
-            return False
-        self.stats.puts += 1
-        self._touch(path.name)
-        self._evict()
-        return True
+            return None  # never let a journal key escape the store dir
+        return self._load(self.directory / f"{key}.pkl")
 
     # ------------------------------------------------------------------
     def _touch(self, name: str) -> None:

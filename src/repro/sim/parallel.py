@@ -327,7 +327,11 @@ class ResultCache:
     def get(self, spec: CellSpec) -> SimResult | None:
         if not self.enabled():
             return None
-        path = self._path(spec)
+        return self._load(self._path(spec))
+
+    @staticmethod
+    def _load(path: Path) -> SimResult | None:
+        """Unpickle one entry; an absent or unreadable one is a miss."""
         try:
             with path.open("rb") as fh:
                 return pickle.load(fh)

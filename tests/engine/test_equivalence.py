@@ -1,11 +1,13 @@
 """Kernel equivalence: a cell run on the ``fused`` kernel must be
 bit-identical to the reference kernel for every mechanism -- same
-``SimResult``, same full ``SimStats`` dict, same architectural digest."""
+``SimResult``, same full ``SimStats`` dict, same architectural digest --
+and so must a fused core driven one ``step()`` at a time."""
 
 import pytest
 
 from repro.engine import core_class
 from repro.faults.fuzz import arch_digest
+from repro.pipeline.thread import ThreadState
 from repro.sim.config import MECHANISMS, MachineConfig
 from repro.sim.parallel import CellSpec, run_cell
 from repro.sim.simulator import Simulator
@@ -67,3 +69,40 @@ def test_no_warmup_cell_matches_reference():
             max_cycles=MAX_CYCLES,
         )
     )
+
+
+def _stepped(spec, engine):
+    """Drive ``spec`` on ``engine``'s kernel through a fixed schedule of
+    single ``step()`` calls and ``run_to`` chunks, then to completion
+    with the one-step nudge the fuzzer and the scenario runner use when
+    ``run_to`` makes no progress."""
+    sim = Simulator(
+        spec.build_programs(), spec.config, core_cls=core_class(engine)
+    )
+    core = sim.core
+    apps = [t for t in core.threads if t.state is ThreadState.NORMAL]
+    never = [(thread, MAX_CYCLES) for thread in apps]
+    for _ in range(12):
+        for _ in range(25):
+            core.step()
+        core.run_to(never, core.cycle + 400)
+    targets = [(thread, thread.retired_user + USER_INSTS) for thread in apps]
+    while core.cycle < MAX_CYCLES and not all(
+        thread.halted or thread.retired_user >= target
+        for thread, target in targets
+    ):
+        before = core.cycle
+        core.run_to(targets, MAX_CYCLES)
+        if core.cycle == before:
+            core.step()
+    return sim
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_stepped_fused_core_matches_reference(mechanism):
+    fused = _stepped(_spec(mechanism), "fused")
+    reference = _stepped(_spec(mechanism), "reference")
+    assert type(fused.core) is core_class("fused")
+    assert arch_digest(fused) == arch_digest(reference)
+    assert fused.core.stats.as_dict() == reference.core.stats.as_dict()
+    assert fused.core.cycle == reference.core.cycle

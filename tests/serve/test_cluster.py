@@ -1,4 +1,4 @@
-"""Cluster mode in-process: forwarding, handoff endpoints, HTTP jobs.
+"""Cluster mode in-process: forwarding and HTTP jobs.
 
 Two real servers on background loops (:class:`ServerThread` with
 pre-picked ports, since ring membership needs every URL up front), so
@@ -8,18 +8,15 @@ multi-process version of this lives in ``repro-serve smoke --nodes 3``.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
-import hashlib
 import time
 
 import pytest
 
 from repro.serve.client import (
     ServeError,
+    SweepClient,
     decode_result,
-    fetch_store_entries,
-    fetch_store_keys,
     forward_cell,
     job_results,
     job_status,
@@ -30,6 +27,11 @@ from repro.serve.cluster import pick_ports
 from repro.serve.service import spec_to_dict
 from repro.sim.parallel import derive_warm_cells, run_cell
 from tests.serve.helpers import ServerThread, make_grid
+
+
+def stored_keys(store) -> set[str]:
+    """The content addresses a store holds."""
+    return {path.stem for path in store.entries()}
 
 
 @pytest.fixture
@@ -79,7 +81,7 @@ class TestForwarding:
         # A forwarded result is also stored locally, so the whole grid
         # is now a local hit on A.
         keys = {a.server.service.store.key(spec) for spec in specs}
-        assert keys <= set(a.server.service.store.keys())
+        assert keys <= stored_keys(a.server.service.store)
 
     def test_owner_stores_what_it_resolved(self, pair):
         a, b = pair
@@ -90,7 +92,7 @@ class TestForwarding:
         for spec in specs:
             key = a.server.service.store.key(spec)
             if ring.owner(key) == b.url:
-                assert key in set(store_b.keys())
+                assert key in stored_keys(store_b)
 
     def test_forward_cell_rejects_key_mismatch_clean_path(self, pair):
         """The forwarding client verifies the peer resolved the *same*
@@ -140,54 +142,6 @@ class TestForwarding:
         assert node_a["forwarded"] == 0
         assert node_a["owned"] == len(specs)
 
-    def test_warm_handoff_pulls_exactly_the_owned_keys(self, pair, tmp_path):
-        """A restarted member with an empty store pulls from a peer
-        precisely the entries the ring assigns to it -- nothing more."""
-        a, b = pair
-        specs = make_grid()
-        # 12 distinct cells so the ring essentially never assigns the
-        # rebuilt node an empty share.
-        specs = specs + [
-            dataclasses.replace(spec, user_insts=spec.user_insts + delta)
-            for delta in (17, 34)
-            for spec in specs
-        ]
-        run_cells_via_server(a.url, specs)
-
-        # A "rebuilt" node with B's ring identity but a fresh store; A
-        # holds every key (owner or forwarding replica), so the joiner
-        # can pull its share from A alone.
-        from tests.serve.helpers import make_service
-
-        joiner = make_service(
-            tmp_path / "store-rebuilt", node_url=b.url, peers=(a.url,)
-        )
-        try:
-            pulled = asyncio.run(joiner.warm_handoff())
-            keys_a = {a.server.service.store.key(spec) for spec in specs}
-            expected = {
-                key for key in keys_a if joiner.ring.owner(key) == b.url
-            }
-            assert pulled == len(expected) > 0
-            assert set(joiner.store.keys()) == expected
-            assert joiner.handoff_pulled == pulled
-        finally:
-            joiner.close()
-
-    def test_store_endpoints_serve_raw_entries(self, pair):
-        a, b = pair
-        specs = make_grid()
-        run_cells_via_server(a.url, specs)
-        keys = fetch_store_keys(a.url)
-        assert set(keys) == {
-            a.server.service.store.key(spec) for spec in specs
-        }
-        entries = fetch_store_entries(a.url, keys[:2])
-        assert set(entries) == set(keys[:2])
-        for key, (blob, digest) in entries.items():
-            assert blob == a.server.service.store.read_raw(key)
-            assert digest == hashlib.sha256(blob).hexdigest()
-
 
 class TestJobsOverHTTP:
     def test_submit_poll_fetch(self, pair):
@@ -223,6 +177,29 @@ class TestJobsOverHTTP:
         served = {line["index"]: line["key"] for line in cells}
         for index, spec in enumerate(specs):
             assert served[index] == a.server.service.store.key(spec)
+
+        # A job's result lines are a sweep's cell lines: the same fields
+        # with the same values (the grid is all store hits by now), and
+        # every payload decodes to exactly what run_cell computes.
+        job_lines = {
+            line["index"]: line
+            for line in job_results(a.url, job_id)
+            if line["kind"] == "cell"
+        }
+        sweep_lines = {
+            event["index"]: event
+            for event in SweepClient(a.url).sweep(
+                {"cells": [spec_to_dict(spec) for spec in specs]}
+            )
+            if event["kind"] == "cell"
+        }
+        for index, spec in enumerate(specs):
+            job_line, sweep_line = job_lines[index], sweep_lines[index]
+            assert dataclasses.asdict(
+                decode_result(job_line)
+            ) == dataclasses.asdict(run_cell(spec))
+            del job_line["result_b64"], sweep_line["result_b64"]
+            assert job_line == sweep_line
 
     def test_warm_job_streams_its_results(self, pair, tmp_path, monkeypatch):
         """A job submitted with ``"warm": true`` journals warm-derived

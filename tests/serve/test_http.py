@@ -88,15 +88,20 @@ class TestEndToEnd:
             with pytest.raises(ServeError, match="400"):
                 list(client.sweep({"warp": 9}))
 
-            # Unknown routes and bad methods.
-            conn = http.client.HTTPConnection(
-                "127.0.0.1", server.server.port, timeout=30
-            )
-            try:
-                conn.request("GET", "/nope")
-                assert conn.getresponse().status == 404
-            finally:
-                conn.close()
+            # Unknown routes, the two deleted store routes among them,
+            # and bad methods.
+            store_routes = [("GET", "keys"), ("POST", "fetch")]
+            for method, route in [("GET", "/nope")] + [
+                (verb, f"/store/{name}") for verb, name in store_routes
+            ]:
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", server.server.port, timeout=30
+                )
+                try:
+                    conn.request(method, route)
+                    assert conn.getresponse().status == 404
+                finally:
+                    conn.close()
             conn = http.client.HTTPConnection(
                 "127.0.0.1", server.server.port, timeout=30
             )

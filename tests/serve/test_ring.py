@@ -58,7 +58,7 @@ class TestPlacement:
 class TestMinimalMovement:
     def test_join_only_moves_keys_to_the_new_node(self):
         """Adding a member must never shuffle keys between old members
-        -- the property that makes warm handoff a pull from peers
+        -- the property that makes a join move one share of the keys
         instead of a full reshard."""
         keys = sample_keys()
         ring = HashRing(NODES)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import pickle
@@ -149,41 +148,27 @@ class TestEviction:
         assert store.stats.evictions == 0
 
 
-class TestPutRaw:
-    """Handoff payload verification: the key hashes the spec, not the
-    bytes, so put_raw must vouch for the payload itself."""
+class TestRead:
+    """Reads by content address (a job's journaled key): the result or
+    ``None``, counting no hit or miss, never a path outside the store."""
 
-    KEY = "ab" * 20
-
-    def test_verified_round_trip(self, tmp_path):
-        store = ContentStore(tmp_path)
-        data = pickle.dumps(run_cell(make_spec()))
-        digest = hashlib.sha256(data).hexdigest()
-        assert store.put_raw(self.KEY, data, digest) is True
-        assert store.read_raw(self.KEY) == data
-        assert store.stats.puts == 1
-
-    def test_wrong_digest_is_rejected(self, tmp_path):
-        store = ContentStore(tmp_path)
-        data = pickle.dumps(run_cell(make_spec()))
-        assert store.put_raw(self.KEY, data, "0" * 64) is False
-        assert store.read_raw(self.KEY) is None
-        assert store.stats.puts == 0
-
-    def test_non_result_payload_is_rejected(self, tmp_path):
-        """Corrupt bytes or a pickle of the wrong type must never be
-        published and later served as an authentic result."""
-        store = ContentStore(tmp_path)
-        for blob in (b"\x00garbage", pickle.dumps({"not": "a result"})):
-            digest = hashlib.sha256(blob).hexdigest()
-            assert store.put_raw(self.KEY, blob, digest) is False
-        assert store.entries() == []
-
-    def test_malformed_key_is_rejected(self, tmp_path):
-        store = ContentStore(tmp_path)
-        data = pickle.dumps(run_cell(make_spec()))
-        assert store.put_raw("../escape", data) is False
-        assert store.entries() == []
+    def test_reads_only_a_stored_intact_key(self, tmp_path):
+        store = ContentStore(tmp_path / "store")
+        spec = make_spec()
+        (result,) = put_cells(store, [spec])
+        key = store.key(spec)
+        assert dataclasses.asdict(store.read(key)) == dataclasses.asdict(
+            result
+        )
+        # A readable result one level up: only the key check keeps
+        # "../escape" from reaching it.
+        (tmp_path / "escape.pkl").write_bytes(pickle.dumps(result))
+        assert store.read("../escape") is None
+        assert store.read("ab" * 20) is None  # well formed, never stored
+        path = store.directory / f"{key}.pkl"
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        assert store.read(key) is None
+        assert (store.stats.hits, store.stats.misses) == (0, 0)
 
 
 class TestEnvKnobs:
