@@ -167,9 +167,9 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
         }
     ),
     # scenarios sits at the top of the testing stack: it composes the
-    # fault generator (faults.progen), the exception layer's cause
-    # handlers, and the simulator into runnable scenario matrices, and
-    # runs both engine kernels through the digest oracle.  Nothing
+    # fault generator (faults.progen) and the exception layer's cause
+    # handlers into runnable scenario matrices, and runs them through
+    # the fuzzer's differential trial on both engine kernels.  Nothing
     # below it may import it (no other allowed set names "scenarios").
     "scenarios": frozenset(
         {

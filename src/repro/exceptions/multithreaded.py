@@ -60,6 +60,9 @@ class MultithreadedMechanism(ExceptionMechanism):
         self._itlb_pending: dict[int, ExceptionInstance] = {}
         #: vpn -> tids whose fetch is stalled on that ITLB fill.
         self._itlb_waiters: dict[int, list[int]] = {}
+        #: vpns whose handler hit a page fault after waking its master:
+        #: the next miss there traps traditionally (see on_hardexc).
+        self._itlb_revert: set[int] = set()
         #: Section 4.3: which exception types deserve a handler thread.
         self.spawn_predictor = SpawnPredictor()
         self._suppressed: dict[str, int] = {}
@@ -189,6 +192,10 @@ class MultithreadedMechanism(ExceptionMechanism):
             if thread.tid not in tids:
                 tids.append(thread.tid)
             thread.fetch_stall_until = _FAR_FUTURE
+            return
+        if vpn in self._itlb_revert:
+            self._itlb_revert.discard(vpn)
+            self.traditional.on_itlb_miss(thread, pc, now)
             return
         if not self._spawning_worthwhile("itlb_miss"):
             self.traditional.on_itlb_miss(thread, pc, now)
@@ -430,12 +437,17 @@ class MultithreadedMechanism(ExceptionMechanism):
             # back when the walk-fault branch resolved), in which case
             # the master has moved on -- possibly into a different trap
             # whose latched VA/EXC_PC must not be clobbered.  The
-            # rolled-back entry simply re-misses on next use.
+            # rolled-back entry re-misses on next use, and that miss
+            # traps traditionally: only the trap's handler runs the
+            # page-fault fix-up, so respawning a handler thread there
+            # would hit the same fault forever.
             va = instance.va
             stalled = master.fetch_stall_until >= _FAR_FUTURE
             self._reclaim(thread, now)
             if stalled:
                 self.traditional.trap_itlb(master, va // 4, now)
+            else:
+                self._itlb_revert.add(instance.vpn)
             return
         master_uop = instance.master_uop if instance else None
         self._reclaim(thread, now)
@@ -626,6 +638,7 @@ class MultithreadedMechanism(ExceptionMechanism):
         state["itlb_waiters"] = [
             [vpn, list(tids)] for vpn, tids in self._itlb_waiters.items()
         ]
+        state["itlb_revert"] = sorted(self._itlb_revert)
         state["spawn_predictor"] = self.spawn_predictor.snapshot_state(ctx)
         state["suppressed"] = [[k, v] for k, v in self._suppressed.items()]
         state["spawn_probe_interval"] = self.spawn_probe_interval
@@ -645,6 +658,7 @@ class MultithreadedMechanism(ExceptionMechanism):
         self._itlb_waiters = {
             vpn: list(tids) for vpn, tids in state.get("itlb_waiters", [])
         }
+        self._itlb_revert = set(state.get("itlb_revert", []))
         self.spawn_predictor.restore_state(state["spawn_predictor"], ctx)
         self._suppressed = {k: v for k, v in state["suppressed"]}
         self.spawn_probe_interval = state["spawn_probe_interval"]

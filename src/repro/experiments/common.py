@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.sim.config import MachineConfig
-from repro.sim.parallel import CellSpec, run_cells
+from repro.sim.parallel import CellSpec, run_cells, warm_checkpoints
 from repro.sim.simulator import SimResult
 from repro.workloads.suite import BENCHMARK_NAMES
 
@@ -172,7 +172,7 @@ def resolve_cells(specs: list[CellSpec]) -> list[SimResult]:
     if server:
         from repro.serve.client import run_cells_via_server
 
-        return run_cells_via_server(server, specs)
+        return run_cells_via_server(server, specs, warm=warm_checkpoints())
     return run_cells(specs)
 
 

@@ -67,7 +67,8 @@ def measured_attribution(settings: Settings | None = None) -> str:
     multithreaded's handler-fetch share, quick-start shrinking it.
     """
     from repro.experiments.report import format_attribution
-    from repro.sim.metrics import run_pair
+    from repro.obs.attribution import CycleAttribution
+    from repro.sim.simulator import Simulator
     from repro.workloads import build_benchmark
 
     settings = settings or Settings.from_env()
@@ -76,14 +77,11 @@ def measured_attribution(settings: Settings | None = None) -> str:
     fills = {}
     for mech in ("traditional", "multithreaded", "quickstart", "hardware"):
         config = MachineConfig(mechanism=mech, idle_threads=IDLE_THREADS)
-        mech_result, _, penalty = run_pair(
-            lambda: build_benchmark(bench),
-            config,
-            settings.user_insts,
-            attribute=True,
-        )
-        tables[mech] = penalty.attribution
-        fills[mech] = mech_result.committed_fills
+        sim = Simulator(build_benchmark(bench), config)
+        attribution = CycleAttribution.attach(sim.core)
+        result = sim.run(settings.user_insts, 10_000_000)
+        tables[mech] = attribution.finalize(sim.core.cycle)
+        fills[mech] = result.committed_fills
     header = f"Measured cycle attribution ({bench}):"
     return header + "\n" + format_attribution(tables, fills)
 

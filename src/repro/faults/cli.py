@@ -47,9 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine-diff", action="store_true",
-        help="fuzz the fused kernel (the default) against the reference "
-        "kernel: every faulted run executes under both and must agree "
-        "exactly (digest, cycles, every counter)",
+        help="also fuzz the fused kernel (the default) against the "
+        "reference kernel: every faulted run executes under both, passes "
+        "every oracle on each, and the pair must agree exactly (digest, "
+        "cycles, every counter)",
     )
     parser.add_argument(
         "--causes", default=None, metavar="LIST",

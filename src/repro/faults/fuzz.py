@@ -1,27 +1,27 @@
 """Differential fuzzing: every mechanism, under fire, must agree.
 
-The oracle stack, strongest first:
+:func:`run_case` is the one differential *trial*: it runs a generated
+program fault-free on the perfect machine, then under every mechanism
+(and every requested engine kernel) with the case's fault schedule.
+Every run must pass every *oracle*, strongest first:
 
 1. **Architectural equivalence** -- the exception architecture changes
-   *when* things happen, never *what* happens.  A seeded program run
-   under the perfect machine defines the reference digest (user-visible
-   registers plus non-page-table memory); every real mechanism, with the
-   fault injector perturbing it mid-run, must converge to the same
-   digest.
-2. **Sanitizer cleanliness** -- each faulted run executes with the
+   *when* things happen, never *what* happens.  The perfect run defines
+   the reference digest (user-visible registers plus non-page-table
+   memory); every run, with the fault injector perturbing it mid-run,
+   must converge to the same digest.
+2. **Sanitizer cleanliness** -- each run executes with the
    :mod:`repro.analysis.sanitizer` attached; any retirement-order or
    uop-lifecycle violation is a failure even when the digest survives.
 3. **Termination** -- generated programs halt by construction, so a run
    exceeding its cycle bound is a hang, reported as a divergence.
-
-``--engine-diff`` swaps in a fourth, stricter oracle: instead of
-comparing mechanisms against the perfect reference, every mechanism's
-faulted run is executed twice -- once under the reference cycle kernel
-and once under the fused kernel (:mod:`repro.engine.core`) -- and the
-two runs must agree *exactly*: same digest, same cycle count, same
-value for every pipeline counter, same injected-fault totals.  The
-engines are bit-identical by contract, so any daylight between them is
-an engine bug.
+4. **Kernel identity** -- with two engines (``--engine-diff``, and the
+   scenario matrix in :mod:`repro.scenarios`), each mechanism runs under
+   the reference cycle kernel and the fused kernel
+   (:mod:`repro.engine.core`), and the pair must agree *exactly*: same
+   digest, same cycle count, same value for every counter, same
+   injected-fault totals.  The engines are bit-identical by contract,
+   so any daylight between them is an engine bug.
 
 Programs come from :mod:`repro.faults.progen` and are validated with the
 :mod:`repro.analysis` guest lint before use (an unlintable program is a
@@ -47,6 +47,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import repro.engine
 from repro.analysis.diagnostics import Severity
 from repro.analysis.guest import analyze_source
 from repro.analysis.sanitizer import SanitizerError
@@ -59,7 +60,7 @@ from repro.faults.progen import (
     render_program,
 )
 from repro.isa.registers import SHADOW_BASE
-from repro.sim.config import MachineConfig
+from repro.sim.config import MECHANISMS, MachineConfig
 from repro.sim.simulator import Simulator
 from repro.workloads.builder import make_program
 
@@ -75,12 +76,8 @@ __all__ = [
     "make_case",
     "overrides_for_causes",
     "run_case",
-    "run_engine_diff_case",
     "shrink_case",
 ]
-
-#: Every configuration a case runs under (reference first).
-MECHANISMS = ("perfect", "traditional", "multithreaded", "hardware", "quickstart")
 
 #: Cycle bound for one run; generated programs finish in a few thousand
 #: cycles, so hitting this means a hang (deadlocked machine), not load.
@@ -183,11 +180,15 @@ CAUSE_ROTATION = (
 )
 
 
-def overrides_for_causes(causes: tuple) -> dict:
-    """The MachineConfig knobs a cause set needs to actually fire."""
+def overrides_for_causes(causes: tuple, rng: Rng | None = None) -> dict:
+    """The MachineConfig knobs a cause set needs to actually fire.
+
+    The ITLB has one entry, so the two-page loop thrashes it; with an
+    ``rng`` (the scenario matrix's seeded variation) it has 1, 2 or 4.
+    """
     overrides: dict = {}
     if "itlb_miss" in causes:
-        overrides["itlb_entries"] = 1  # thrash: the loop spans 2 pages
+        overrides["itlb_entries"] = (1, 2, 4)[rng.below(3)] if rng else 1
     if "unaligned" in causes:
         overrides["align_check"] = True
     return overrides
@@ -284,16 +285,36 @@ def arch_digest(sim: Simulator) -> tuple:
 
 @dataclass
 class RunOutcome:
+    """One (mechanism, engine) simulation of a case."""
+
     mechanism: str
     ok: bool
-    reason: str = ""  # "", "sanitizer", "hang"
+    reason: str = ""  # "", "sanitizer", "hang", "digest"
     detail: str = ""
     cycles: int = 0
     digest: tuple | None = None
     fault_counts: dict = field(default_factory=dict)
-    #: Every :class:`~repro.sim.stats.SimStats` counter; only populated
-    #: (and only compared) by the engine-diff oracle.
+    #: Every counter group of a halted run (``sim`` is
+    #: :class:`~repro.sim.stats.SimStats`); the kernel oracle compares
+    #: them all.
     stats: dict = field(default_factory=dict)
+    engine: str = "reference"
+
+    @property
+    def attribution(self) -> dict:
+        """cause -> (taken, squashes, handler cycles), Table-3 style."""
+        sim = self.stats.get("sim") or {}
+        taken = sim.get("cause_taken", {})
+        squashes = sim.get("cause_squashes", {})
+        handler = sim.get("cause_handler_cycles", {})
+        return {
+            cause: (
+                taken.get(cause, 0),
+                squashes.get(cause, 0),
+                handler.get(cause, 0),
+            )
+            for cause in set(taken) | set(squashes) | set(handler)
+        }
 
 
 def run_program(
@@ -302,11 +323,11 @@ def run_program(
     faults: str,
     defect: str | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    core_cls=None,
+    engine: str = "reference",
 ) -> RunOutcome:
     """One simulation to halt; sanitizer attached, faults per spec.
 
-    ``core_cls`` swaps in an engine's core class (engine-diff mode);
+    ``engine`` names the cycle kernel (:data:`repro.engine.ENGINES`);
     the run is driven through ``run_to`` either way so both kernels
     execute their production run loop, not just single ``step()``
     calls.
@@ -322,6 +343,7 @@ def run_program(
         sanitize=True,
         **case.config_overrides,
     )
+    core_cls = None if engine == "reference" else repro.engine.core_class(engine)
     sim = Simulator(program, config, core_cls=core_cls)
     if defect is not None:
         DEFECTS[defect](sim)
@@ -355,6 +377,7 @@ def run_program(
                 detail=f"no halt within {max_cycles} cycles",
                 cycles=core.cycle,
                 fault_counts=dict(core.faults.counts) if core.faults else {},
+                engine=engine,
             )
     except SanitizerError as exc:
         return RunOutcome(
@@ -364,6 +387,7 @@ def run_program(
             detail=str(exc),
             cycles=core.cycle,
             fault_counts=dict(core.faults.counts) if core.faults else {},
+            engine=engine,
         )
     return RunOutcome(
         mechanism,
@@ -371,6 +395,7 @@ def run_program(
         cycles=core.cycle,
         digest=arch_digest(sim),
         fault_counts=dict(core.faults.counts) if core.faults else {},
+        engine=engine,
         stats={
             "sim": core.stats.as_dict(),
             "mech": (
@@ -402,6 +427,8 @@ class CaseResult:
     divergences: list[Divergence] = field(default_factory=list)
     cycles: int = 0
     fault_counts: dict = field(default_factory=dict)
+    #: Every run, the fault-free perfect reference first.
+    runs: list[RunOutcome] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -412,12 +439,18 @@ def run_case(
     case: FuzzCase,
     defect: str | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
+    engines: tuple = ("reference",),
+    mechanisms: tuple = MECHANISMS,
 ) -> CaseResult:
-    """The full differential trial for one case.
+    """The differential trial for one case.
 
-    The perfect machine runs fault-free to define the reference digest;
-    every mechanism (perfect included) then runs with the fault schedule
-    active and must match it.
+    The perfect machine runs fault-free on the reference kernel to
+    define the reference digest; every mechanism (perfect included)
+    then runs under every engine with the fault schedule active, and
+    every run must halt, keep the sanitizer quiet and match that
+    digest.  With several engines, each later engine's run must also
+    agree exactly with the first engine's.  Injected faults are counted
+    once per schedule, from the first engine's runs.
     """
     result = CaseResult(case=case)
     lint_errors = lint_program(case.program.source, unit=f"fuzz-{case.seed}")
@@ -428,6 +461,7 @@ def run_case(
         return result
 
     reference = run_program(case, "perfect", faults="", max_cycles=max_cycles)
+    result.runs.append(reference)
     result.cycles += reference.cycles
     if not reference.ok:
         result.divergences.append(
@@ -436,72 +470,31 @@ def run_case(
         return result
 
     totals = {kind: 0 for kind in FAULT_KINDS}
-    for mechanism in MECHANISMS:
-        outcome = run_program(
-            case, mechanism, faults=case.faults, defect=defect,
-            max_cycles=max_cycles,
-        )
-        result.cycles += outcome.cycles
-        for kind, count in outcome.fault_counts.items():
-            totals[kind] += count
-        if not outcome.ok:
-            result.divergences.append(
-                Divergence(mechanism, outcome.reason, outcome.detail)
+    for mechanism in mechanisms:
+        outcomes = []
+        for engine in engines:
+            outcome = run_program(
+                case, mechanism, faults=case.faults, defect=defect,
+                max_cycles=max_cycles, engine=engine,
             )
-        elif outcome.digest != reference.digest:
-            result.divergences.append(
-                Divergence(
-                    mechanism,
-                    "digest",
-                    _digest_delta(reference.digest, outcome.digest),
+            result.runs.append(outcome)
+            result.cycles += outcome.cycles
+            if not outcomes:
+                for kind, count in outcome.fault_counts.items():
+                    totals[kind] += count
+            if outcome.ok and outcome.digest != reference.digest:
+                outcome.ok, outcome.reason = False, "digest"
+                outcome.detail = _digest_delta(reference.digest, outcome.digest)
+            if not outcome.ok:
+                where = f"{engine}: " if len(engines) > 1 else ""
+                result.divergences.append(
+                    Divergence(mechanism, outcome.reason, where + outcome.detail)
                 )
-            )
-    result.fault_counts = totals
-    return result
-
-
-def run_engine_diff_case(
-    case: FuzzCase,
-    defect: str | None = None,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-) -> CaseResult:
-    """Differential trial between engine *backends* for one case.
-
-    Every mechanism's faulted run executes twice -- under the reference
-    cycle kernel and under the fused kernel -- and the pair must agree
-    exactly: same outcome, same digest, same cycle count, same value
-    for every counter, same injected-fault totals.
-    (``defect`` is accepted for signature compatibility with
-    :func:`run_case` but both kernels receive it, so it cannot cause an
-    engine divergence by itself.)
-    """
-    from repro.engine import core_class
-
-    fused_cls = core_class("fused")
-    result = CaseResult(case=case)
-    lint_errors = lint_program(case.program.source, unit=f"fuzz-{case.seed}")
-    if lint_errors:
-        result.divergences.append(
-            Divergence("generator", "lint", "; ".join(lint_errors))
-        )
-        return result
-
-    totals = {kind: 0 for kind in FAULT_KINDS}
-    for mechanism in MECHANISMS:
-        ref = run_program(
-            case, mechanism, faults=case.faults, defect=defect,
-            max_cycles=max_cycles,
-        )
-        fused = run_program(
-            case, mechanism, faults=case.faults, defect=defect,
-            max_cycles=max_cycles, core_cls=fused_cls,
-        )
-        result.cycles += ref.cycles + fused.cycles
-        for kind, count in ref.fault_counts.items():
-            totals[kind] += count
-        delta = _engine_delta(ref, fused)
-        if delta:
-            result.divergences.append(Divergence(mechanism, "engine", delta))
+            outcomes.append(outcome)
+        for other in outcomes[1:]:
+            delta = _engine_delta(outcomes[0], other)
+            if delta:
+                result.divergences.append(Divergence(mechanism, "engine", delta))
     result.fault_counts = totals
     return result
 
@@ -561,6 +554,10 @@ def _digest_delta(ref: tuple, got: tuple) -> str:
 # ---------------------------------------------------------------------------
 # Shrinking.
 # ---------------------------------------------------------------------------
+def _engines(engine_diff: bool) -> tuple:
+    return repro.engine.ENGINES if engine_diff else ("reference",)
+
+
 def _still_fails(
     case: FuzzCase,
     defect: str | None,
@@ -569,8 +566,10 @@ def _still_fails(
 ) -> bool:
     if lint_program(case.program.source, unit="shrink"):
         return False  # reduction broke validity; reject it
-    runner = run_engine_diff_case if engine_diff else run_case
-    return not runner(case, defect=defect, max_cycles=max_cycles).ok
+    return not run_case(
+        case, defect=defect, max_cycles=max_cycles,
+        engines=_engines(engine_diff),
+    ).ok
 
 
 def _with_ops(case: FuzzCase, ops: list, iters: int) -> FuzzCase:
@@ -599,8 +598,8 @@ def shrink_case(
 
     Removes op chunks (halves down to singletons) as long as the case
     still fails, then halves ``iters``.  Returns the reduced case and
-    the number of candidate evaluations spent.  ``engine_diff`` shrinks
-    against the engine-backend oracle instead of the mechanism one.
+    the number of candidate evaluations spent.  ``engine_diff`` adds
+    the kernel oracle, as in :func:`fuzz`.
     """
     attempts = 0
     best = case
@@ -740,11 +739,10 @@ def fuzz(
 
     Stops at the *first* failing case (after shrinking and writing its
     artifacts): one minimal reproducer beats a pile of noisy ones, and
-    CI wants fast signal.  ``engine_diff`` fuzzes the fused kernel
-    against the reference kernel (:func:`run_engine_diff_case`) instead
-    of the mechanisms against each other.  ``causes`` pins every
-    case to one cause set (``None`` rotates the default corpus through
-    :data:`CAUSE_ROTATION`).
+    CI wants fast signal.  ``engine_diff`` runs every mechanism under
+    both engine kernels and adds the kernel oracle to the others.
+    ``causes`` pins every case to one cause set (``None`` rotates the
+    default corpus through :data:`CAUSE_ROTATION`).
     """
     if defect is not None and defect not in DEFECTS:
         raise ValueError(
@@ -774,8 +772,10 @@ def fuzz(
             break
         case = make_case(seed + case_index, causes=causes)
         case_index += 1
-        run_one = run_engine_diff_case if engine_diff else run_case
-        result = run_one(case, defect=defect, max_cycles=max_cycles)
+        result = run_case(
+            case, defect=defect, max_cycles=max_cycles,
+            engines=_engines(engine_diff),
+        )
         report.programs += 1
         report.cycles += result.cycles
         for kind, count in result.fault_counts.items():

@@ -21,6 +21,21 @@ re-render instead of mutating assembly strings:
   capacity misses and page walks happen naturally);
 * ``halt`` ends the program.
 
+A *mix style* (:data:`MIX_STYLES`) shapes how the requested exception
+causes interleave:
+
+``uniform``
+    Cause ops are blended into the regular seeded op stream (the
+    default, byte-identical to the pre-mix generator).
+``back_to_back``
+    Cause ops additionally appear in consecutive clusters, so a second
+    exception is raised while the previous handler is still in flight
+    (the paper's multiple-outstanding-exception case).
+``nested``
+    Cause clusters are wrapped in forward-skip branches, nesting the
+    triggers inside speculative control flow so handlers overlap
+    mispredict squashes.
+
 Randomness is a local splitmix64 stream -- no :mod:`random`, so the same
 seed renders the same program on every platform and process.
 """
@@ -35,6 +50,7 @@ __all__ = [
     "CAUSES",
     "GenOp",
     "GeneratedProgram",
+    "MIX_STYLES",
     "Rng",
     "generate_ops",
     "render_program",
@@ -229,13 +245,47 @@ CAUSES = ("dtlb_miss", "emul", "itlb_miss", "unaligned", "brev", "swint")
 
 _CAUSE_MAKERS = {"brev": _brev, "swint": _swint, "unaligned": _unaligned}
 
+MIX_STYLES = ("uniform", "back_to_back", "nested")
 
-def generate_ops(seed: int, length: int, causes: tuple = ()) -> list[GenOp]:
+#: Ops per back-to-back / nested cause cluster.
+_CLUSTER = 3
+
+
+def _cause_op(cause: str, rng: Rng) -> GenOp | None:
+    """One trigger op for ``cause`` (None: layout-driven, e.g. ITLB)."""
+    maker = _CAUSE_MAKERS.get(cause)
+    if maker is None:
+        maker = {"emul": _emul, "dtlb_miss": _mem}.get(cause)
+    return maker(rng) if maker else None
+
+
+def _cluster_ops(causes: tuple, rng: Rng, nested: bool) -> list[GenOp]:
+    """A consecutive run of cause triggers, optionally skip-wrapped."""
+    ops: list[GenOp] = []
+    if nested:
+        # The skip guards the cluster: the triggers sit inside
+        # speculative forward control flow, so a mispredict can squash
+        # mid-handler.  Clamp the skip span to the cluster size.
+        guard = _skip(rng)
+        ops.append(GenOp(guard.kind, guard.lines, skip=_CLUSTER))
+    burst = [op for op in (_cause_op(c, rng) for c in causes) if op is not None]
+    if not burst:
+        return []
+    while len(ops) < _CLUSTER + (1 if nested else 0):
+        ops.append(burst[rng.below(len(burst))])
+    return ops
+
+
+def generate_ops(
+    seed: int, length: int, causes: tuple = (), mix: str = "uniform"
+) -> list[GenOp]:
     """The seeded body IR: ``length`` ops mixing every op class.
 
     ``causes`` appends the matching cause makers to the pool (in fixed
     :data:`CAUSES` order, so the stream is seed-deterministic); an empty
-    tuple reproduces the pre-scenario op mix exactly.
+    tuple reproduces the pre-scenario op mix exactly.  A ``mix`` other
+    than ``uniform`` then inserts two or three cause clusters from a
+    second seeded stream, leaving the base stream untouched.
     """
     rng = Rng(seed)
     makers = (_alu, _alu, _mem, _mem, _fp, _emul, _skip)
@@ -243,7 +293,17 @@ def generate_ops(seed: int, length: int, causes: tuple = ()) -> list[GenOp]:
         _CAUSE_MAKERS[c] for c in CAUSES if c in causes and c in _CAUSE_MAKERS
     )
     makers = makers + extra + extra  # double weight: causes should fire often
-    return [rng.choice(makers)(rng) for _ in range(length)]
+    ops = [rng.choice(makers)(rng) for _ in range(length)]
+    if mix == "uniform":
+        return ops
+    rng = Rng(seed ^ 0x5CE4A210)
+    for _ in range(2 + rng.below(2)):
+        cluster = _cluster_ops(causes, rng, nested=mix == "nested")
+        if not cluster:
+            break
+        at = rng.below(len(ops) + 1)
+        ops[at:at] = cluster
+    return ops
 
 
 def render_program(
@@ -308,15 +368,17 @@ def generate_program(
     length: int = 36,
     iters: int = 24,
     causes: tuple = (),
+    mix: str = "uniform",
 ) -> GeneratedProgram:
     """Generate one complete program (IR + rendered source + regions).
 
     ``causes`` selects the restartable-exception causes the program
-    should exercise (see :data:`CAUSES`); the default empty tuple is
-    byte-identical to the pre-scenario generator.
+    should exercise (see :data:`CAUSES`) and ``mix`` how their triggers
+    interleave (see :data:`MIX_STYLES`); the defaults are byte-identical
+    to the pre-scenario generator.
     """
     itlb_stride = ITLB_STRIDE if "itlb_miss" in causes else 0
-    ops = generate_ops(seed, length, causes=causes)
+    ops = generate_ops(seed, length, causes=causes, mix=mix)
     source = render_program(ops, seed, iters, itlb_stride=itlb_stride)
     regions = [(DATA_BASE, REGION_BYTES)]
     if any(op.kind == "unaligned" for op in ops):

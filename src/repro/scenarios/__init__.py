@@ -4,35 +4,16 @@ The seed machine's exception story is built around one cause (the DTLB
 miss) plus instruction emulation.  This package composes *all* the
 restartable causes -- ITLB misses, unaligned-access fixups, emulated
 instructions (``brev``/``swint``), software interrupts -- into seeded,
-reproducible stress scenarios and runs them across every exception
-mechanism and both engine kernels with a digest oracle and Table-3-style
+reproducible stress scenarios.  Each scenario is a fault-free case of
+the differential trial (:func:`repro.faults.fuzz.run_case`), run across
+every exception mechanism and both engine kernels, with Table-3-style
 per-cause cycle attribution.  See ``docs/SCENARIOS.md``.
 """
 
-from repro.scenarios.runner import (
-    ENGINES,
-    EngineRun,
-    ScenarioResult,
-    run_matrix,
-    run_scenario,
-)
-from repro.scenarios.spec import (
-    MIX_STYLES,
-    SCENARIO_CAUSES,
-    ScenarioSpec,
-    build_scenario_program,
-    generate_matrix,
-)
+from repro.scenarios.spec import SCENARIO_CAUSES, ScenarioSpec, generate_matrix
 
 __all__ = [
-    "ENGINES",
-    "EngineRun",
-    "MIX_STYLES",
     "SCENARIO_CAUSES",
-    "ScenarioResult",
     "ScenarioSpec",
-    "build_scenario_program",
     "generate_matrix",
-    "run_matrix",
-    "run_scenario",
 ]

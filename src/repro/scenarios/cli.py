@@ -2,10 +2,11 @@
 
 Expands a base seed into the standard scenario matrix (every scenario
 cause alone, seeded pairs back-to-back, all-cause sweeps in every mix
-style), runs each scenario under the requested mechanisms and engine
-kernels, checks every digest against the perfect reference (and the two
-kernels against each other), and prints a Table-3-style per-cause cycle
-attribution.
+style), runs each scenario as a fault-free differential trial
+(:func:`repro.faults.fuzz.run_case`) under the requested mechanisms and
+engine kernels -- every digest against the perfect reference, and the
+two kernels against each other -- and prints a Table-3-style per-cause
+cycle attribution.
 
 Exit codes: 0 -- every run agreed; 1 -- at least one scenario failed
 (its program source is written to ``--artifacts`` when set); 2 -- bad
@@ -19,9 +20,10 @@ import json
 import sys
 from pathlib import Path
 
-from repro.faults.fuzz import MECHANISMS
-from repro.scenarios.runner import ENGINES, run_matrix
-from repro.scenarios.spec import generate_matrix
+from repro.engine import ENGINES
+from repro.faults.fuzz import DEFAULT_MAX_CYCLES, CaseResult, run_case
+from repro.scenarios.spec import ScenarioSpec, generate_matrix
+from repro.sim.config import MECHANISMS
 
 #: Attribution table column order (stable for diffs and tests).
 _CAUSE_ORDER = ("dtlb_miss", "itlb_miss", "unaligned", "emul", "brev", "swint")
@@ -69,11 +71,71 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_matrix(
+    specs: list[ScenarioSpec],
+    mechanisms: tuple = MECHANISMS,
+    engines: tuple = ENGINES,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
+    log=None,
+) -> list[tuple[ScenarioSpec, CaseResult]]:
+    """Run every spec; returns all results (never stops early)."""
+    results = []
+    for spec in specs:
+        result = run_case(
+            spec.case(), max_cycles=max_cycles, engines=engines,
+            mechanisms=mechanisms,
+        )
+        results.append((spec, result))
+        if log is not None:
+            log(f"{spec.describe()} ... {'ok' if result.ok else 'FAIL'}")
+    return results
+
+
+def _failures(result: CaseResult) -> list[str]:
+    return [
+        f"{d.mechanism} {d.reason}: {d.detail[:200]}" for d in result.divergences
+    ]
+
+
+def scenario_json(spec: ScenarioSpec, result: CaseResult) -> dict:
+    """One scenario's ``--json-out`` entry: verdicts plus every run's
+    per-cause attribution."""
+    return {
+        "name": spec.name,
+        "seed": spec.seed,
+        "causes": list(spec.causes),
+        "mix": spec.mix,
+        "config_overrides": dict(spec.config_overrides),
+        "ok": result.ok,
+        "failures": _failures(result),
+        "runs": [
+            {
+                "mechanism": r.mechanism,
+                "engine": r.engine,
+                "ok": r.ok,
+                "reason": r.reason,
+                "cycles": r.cycles,
+                "attribution": {
+                    cause: {
+                        "taken": taken,
+                        "squashes": squashes,
+                        "handler_cycles": cycles,
+                    }
+                    for cause, (taken, squashes, cycles) in sorted(
+                        r.attribution.items()
+                    )
+                },
+            }
+            for r in result.runs
+        ],
+    }
+
+
 def _attribution_table(results) -> str:
     """Per-cause cycle attribution in the style of the paper's Table 3."""
     lines = []
-    for result in results:
-        lines.append(f"\n{result.spec.describe()}")
+    for spec, result in results:
+        lines.append(f"\n{spec.describe()}")
         lines.append(
             f"  {'mechanism':14s} {'engine':9s} {'cycles':>8s}  "
             + "  ".join(f"{c:>18s}" for c in _CAUSE_ORDER)
@@ -133,30 +195,30 @@ def main(argv: list[str] | None = None) -> int:
         specs, mechanisms=mechanisms, engines=engines, log=log, **kwargs
     )
 
-    failed = [r for r in results if not r.ok]
+    failed = [(spec, result) for spec, result in results if not result.ok]
     if args.artifacts is not None and failed:
         args.artifacts.mkdir(parents=True, exist_ok=True)
-        for result in failed:
-            stem = args.artifacts / f"{result.spec.name}_{result.spec.seed}"
-            stem.with_suffix(".s").write_text(result.source)
+        for spec, result in failed:
+            stem = args.artifacts / f"{spec.name}_{spec.seed}"
+            stem.with_suffix(".s").write_text(result.case.rendered())
             stem.with_suffix(".json").write_text(
-                json.dumps(result.to_json(), indent=2) + "\n"
+                json.dumps(scenario_json(spec, result), indent=2) + "\n"
             )
     if args.json_out is not None:
         args.json_out.parent.mkdir(parents=True, exist_ok=True)
         args.json_out.write_text(
-            json.dumps([r.to_json() for r in results], indent=2) + "\n"
+            json.dumps([scenario_json(*r) for r in results], indent=2) + "\n"
         )
 
     print(_attribution_table(results))
     print(
         f"\nrepro-scenarios: {len(results)} scenarios, "
-        f"{sum(len(r.runs) for r in results)} runs, "
+        f"{sum(len(result.runs) for _, result in results)} runs, "
         f"{len(failed)} failure(s)"
     )
-    for result in failed:
-        for failure in result.failures:
-            print(f"  {result.spec.name}: {failure}")
+    for spec, result in failed:
+        for failure in _failures(result):
+            print(f"  {spec.name}: {failure}")
     return 1 if failed else 0
 
 

@@ -1,69 +1,35 @@
-"""Seeded scenario specs: cause mixes, config variants, program layout.
+"""Seeded scenario specs: cause sets, mix styles, config variants.
 
 A *scenario* is one reproducible stress recipe for the restartable-
 exception machinery: a generated guest program targeting a set of
-exception causes (:data:`repro.faults.progen.CAUSES`), the machine
-configuration those causes need to actually fire (ITLB size, alignment
-checking), and a *mix style* shaping how cause triggers interleave:
-
-``uniform``
-    Cause ops are blended into the regular seeded op stream (the
-    :func:`repro.faults.progen.generate_ops` default).
-``back_to_back``
-    Cause ops additionally appear in consecutive clusters, so a second
-    exception is raised while the previous handler is still in flight
-    (the paper's multiple-outstanding-exception case).
-``nested``
-    Cause clusters are wrapped in forward-skip branches, nesting the
-    triggers inside speculative control flow so handlers overlap
-    mispredict squashes.
+exception causes (:data:`repro.faults.progen.CAUSES`), a *mix style*
+shaping how their triggers interleave
+(:data:`repro.faults.progen.MIX_STYLES`), and the machine configuration
+those causes need to actually fire (ITLB size, alignment checking).
 
 :func:`generate_matrix` expands a seed into the standard scenario
 matrix: every cause in isolation, seeded pairs, and all-cause sweeps in
 every mix style, each with seeded config variants (ITLB sizes, idle
-thread counts).  Specs are pure data -- :mod:`repro.scenarios.runner`
-turns them into simulations.
+thread counts).  Specs are pure data: :meth:`ScenarioSpec.case` turns
+one into a fault-free fuzz case, which the differential trial
+(:func:`repro.faults.fuzz.run_case`) runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.faults.progen import (
-    CAUSES,
-    ITLB_STRIDE,
-    GenOp,
-    GeneratedProgram,
-    Rng,
-    _CAUSE_MAKERS,
-    _emul,
-    _mem,
-    _skip,
-    generate_ops,
-    render_program,
-)
-from repro.faults.progen import (
-    DATA_BASE,
-    LOAD_BASE,
-    LOAD_REGION_BYTES,
-    REGION_BYTES,
-)
+from repro.faults.fuzz import FuzzCase, overrides_for_causes
+from repro.faults.progen import CAUSES, MIX_STYLES, Rng, generate_program
 
 __all__ = [
-    "MIX_STYLES",
     "SCENARIO_CAUSES",
     "ScenarioSpec",
-    "build_scenario_program",
     "generate_matrix",
 ]
 
 #: The causes beyond the seed machine's DTLB story (tentpole set).
 SCENARIO_CAUSES = ("itlb_miss", "unaligned", "brev", "swint")
-
-MIX_STYLES = ("uniform", "back_to_back", "nested")
-
-#: Ops per back-to-back / nested cause cluster.
-_CLUSTER = 3
 
 
 @dataclass(frozen=True)
@@ -80,6 +46,18 @@ class ScenarioSpec:
     #: to the perfect reference too, so digests stay comparable).
     config_overrides: dict = field(default_factory=dict)
 
+    def case(self) -> FuzzCase:
+        """The scenario as a fault-free fuzz case."""
+        return FuzzCase(
+            seed=self.seed,
+            program=generate_program(
+                self.seed, self.length, self.iters, self.causes, self.mix
+            ),
+            faults="",
+            causes=tuple(self.causes),
+            config_overrides=dict(self.config_overrides),
+        )
+
     def describe(self) -> str:
         knobs = ",".join(f"{k}={v}" for k, v in sorted(self.config_overrides.items()))
         return (
@@ -87,78 +65,6 @@ class ScenarioSpec:
             f"mix={self.mix} seed={self.seed}"
             + (f" [{knobs}]" if knobs else "")
         )
-
-
-def _cause_op(cause: str, rng: Rng) -> GenOp | None:
-    """One trigger op for ``cause`` (None: layout-driven, e.g. ITLB)."""
-    maker = _CAUSE_MAKERS.get(cause)
-    if maker is None:
-        maker = {"emul": _emul, "dtlb_miss": _mem}.get(cause)
-    return maker(rng) if maker else None
-
-
-def _cluster_ops(causes: tuple, rng: Rng, nested: bool) -> list[GenOp]:
-    """A consecutive run of cause triggers, optionally skip-wrapped."""
-    ops: list[GenOp] = []
-    if nested:
-        # The skip guards the cluster: the triggers sit inside
-        # speculative forward control flow, so a mispredict can squash
-        # mid-handler.  Clamp the skip span to the cluster size.
-        guard = _skip(rng)
-        ops.append(GenOp(guard.kind, guard.lines, skip=_CLUSTER))
-    burst = [op for op in (_cause_op(c, rng) for c in causes) if op is not None]
-    if not burst:
-        return []
-    while len(ops) < _CLUSTER + (1 if nested else 0):
-        ops.append(burst[rng.below(len(burst))])
-    return ops
-
-
-def scenario_ops(spec: ScenarioSpec) -> list[GenOp]:
-    """The op IR for a spec: base stream plus mix-style cause clusters."""
-    base = generate_ops(spec.seed, spec.length, causes=spec.causes)
-    if spec.mix == "uniform":
-        return base
-    rng = Rng(spec.seed ^ 0x5CE4A210)
-    nested = spec.mix == "nested"
-    clusters = 2 + rng.below(2)
-    out = list(base)
-    for _ in range(clusters):
-        cluster = _cluster_ops(spec.causes, rng, nested)
-        if not cluster:
-            break
-        at = rng.below(len(out) + 1)
-        out[at:at] = cluster
-    return out
-
-
-def build_scenario_program(spec: ScenarioSpec) -> GeneratedProgram:
-    """Render a spec into a generated program (IR + source + regions)."""
-    itlb_stride = ITLB_STRIDE if "itlb_miss" in spec.causes else 0
-    ops = scenario_ops(spec)
-    source = render_program(ops, spec.seed, spec.iters, itlb_stride=itlb_stride)
-    regions = [(DATA_BASE, REGION_BYTES)]
-    if any(op.kind == "unaligned" for op in ops):
-        regions.append((LOAD_BASE, LOAD_REGION_BYTES))
-    return GeneratedProgram(
-        seed=spec.seed,
-        iters=spec.iters,
-        ops=ops,
-        source=source,
-        regions=regions,
-        causes=tuple(spec.causes),
-        itlb_stride=itlb_stride,
-    )
-
-
-def overrides_for(causes: tuple, rng: Rng | None = None) -> dict:
-    """Config knobs a cause set needs, with seeded variation."""
-    overrides: dict = {}
-    if "itlb_miss" in causes:
-        overrides["itlb_entries"] = (1, 2, 4)[rng.below(3)] if rng else 1
-    if "unaligned" in causes:
-        overrides["align_check"] = True
-    return overrides
 
 
 def generate_matrix(seed: int = 0, quick: bool = False) -> list[ScenarioSpec]:
@@ -177,7 +83,7 @@ def generate_matrix(seed: int = 0, quick: bool = False) -> list[ScenarioSpec]:
                 name=f"single-{cause}",
                 seed=seed + len(specs),
                 causes=(cause,),
-                config_overrides=overrides_for((cause,), rng),
+                config_overrides=overrides_for_causes((cause,), rng),
             )
         )
     pair_pool = [
@@ -195,7 +101,7 @@ def generate_matrix(seed: int = 0, quick: bool = False) -> list[ScenarioSpec]:
                 seed=seed + 100 + len(specs),
                 causes=pair,
                 mix="back_to_back",
-                config_overrides=overrides_for(pair, rng),
+                config_overrides=overrides_for_causes(pair, rng),
             )
         )
     all_causes = tuple(c for c in CAUSES if c in SCENARIO_CAUSES or c == "emul")
@@ -207,7 +113,7 @@ def generate_matrix(seed: int = 0, quick: bool = False) -> list[ScenarioSpec]:
                 causes=all_causes,
                 mix=mix,
                 config_overrides={
-                    **overrides_for(all_causes, rng),
+                    **overrides_for_causes(all_causes, rng),
                     # Environment variant: vary the handler-context pool.
                     "idle_threads": 1 + rng.below(2),
                 },

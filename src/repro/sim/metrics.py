@@ -11,14 +11,11 @@ the exception architecture actually changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.isa.program import Program
 from repro.sim.config import MachineConfig
 from repro.sim.simulator import SimResult, Simulator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.attribution import AttributionTable
 
 
 @dataclass
@@ -30,9 +27,6 @@ class PenaltyResult:
     perfect_cycles: int
     fills: int
     retired_user: int
-    #: Table-3 cycle breakdown of the mechanism run; filled only when
-    #: :func:`run_pair` ran with ``attribute=True``.
-    attribution: "AttributionTable | None" = None
 
     @property
     def penalty_cycles(self) -> int:
@@ -73,29 +67,18 @@ def run_pair(
     config: MachineConfig,
     user_insts: int,
     max_cycles: int = 10_000_000,
-    attribute: bool = False,
 ) -> tuple[SimResult, SimResult, PenaltyResult]:
     """Run a workload under ``config`` and under a perfect TLB.
 
     ``program_factory`` is invoked once per run so each simulation gets a
     fresh, identical program image (runs must not share mutable state).
-    With ``attribute=True`` the mechanism run carries a
-    :class:`~repro.obs.attribution.CycleAttribution` subscriber and the
-    returned penalty's ``attribution`` holds its Table-3 breakdown.
     Returns ``(mechanism_result, perfect_result, penalty)``.
     """
     sim = Simulator(program_factory(), config)
-    attribution = None
-    if attribute:
-        from repro.obs.attribution import CycleAttribution
-
-        attribution = CycleAttribution.attach(sim.core)
     mech_result = sim.run(user_insts, max_cycles)
     perfect_config = config.with_mechanism("perfect")
     perfect_result = Simulator(program_factory(), perfect_config).run(
         user_insts, max_cycles
     )
     penalty = penalty_per_miss(mech_result, perfect_result)
-    if attribution is not None:
-        penalty.attribution = attribution.finalize(sim.core.cycle)
     return mech_result, perfect_result, penalty

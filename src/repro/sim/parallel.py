@@ -477,6 +477,13 @@ def default_jobs() -> int:
     return jobs
 
 
+def warm_checkpoints() -> bool:
+    """Whether ``REPRO_WARM_CKPT=1`` asks sweeps to share one warmup per
+    workload family (see :func:`derive_warm_cells`), locally or through
+    a sweep server alike."""
+    return os.environ.get("REPRO_WARM_CKPT", "").strip() == "1"
+
+
 def _pid_alive(pid: int) -> bool:
     """Whether ``pid`` currently exists (signal-0 probe)."""
     try:
@@ -739,9 +746,7 @@ def run_cells(
         # so an ambitious REPRO_JOBS degrades gracefully on small
         # machines.  An explicit ``jobs`` argument is taken literally.
         jobs = min(default_jobs(), os.cpu_count() or 1)
-    if os.environ.get("REPRO_WARM_CKPT", "").strip() == "1":
-        # Opt-in: share one warmup per workload family via checkpoints
-        # instead of re-warming in every cell (see derive_warm_cells).
+    if warm_checkpoints():
         specs = derive_warm_cells(specs)
     # REPRO_CACHE=0 is enforced inside get/put themselves (a disabled
     # cache misses every get and drops every put), so no guard is

@@ -234,3 +234,18 @@ class TestOneGridPerExperiment:
         assert [len(specs) for specs in sent] == [2, 7]
         assert suite_rows[0].tlb_misses > 0
         assert speedup_rows[0].speedups["Perfect"] > 0
+
+    def test_server_call_carries_the_warm_knob(self, monkeypatch):
+        """REPRO_WARM_CKPT=1 asks the server for warm cells, as it asks
+        the local runner, so both print the same tables."""
+        monkeypatch.setenv("REPRO_SERVER", "http://127.0.0.1:9")
+        monkeypatch.setenv("REPRO_WARM_CKPT", "1")
+        warm_flags = []
+
+        def fake_server(url, specs, warm=False):
+            warm_flags.append(warm)
+            return []
+
+        monkeypatch.setattr("repro.serve.client.run_cells_via_server", fake_server)
+        assert common.resolve_cells([]) == []
+        assert warm_flags == [True]

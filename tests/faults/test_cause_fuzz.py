@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.engine import ENGINES
 from repro.faults.cli import main as fuzz_main
 from repro.faults.fuzz import (
     CAUSE_ROTATION,
@@ -14,6 +15,7 @@ from repro.faults.fuzz import (
     make_case,
     overrides_for_causes,
     run_case,
+    run_program,
 )
 
 
@@ -62,6 +64,22 @@ def test_cause_cases_are_digest_clean(causes):
     case = make_case(5, length=20, iters=6, causes=causes)
     result = run_case(case, max_cycles=600_000)
     assert result.ok, result.divergences
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_itlb_handler_page_fault_after_waking_master_halts(engine):
+    # Case 2003 used to livelock the multithreaded machine: a handler's
+    # speculative itlbwr woke the master, the handler then took a hard
+    # exception and was reclaimed without a trap, so nothing ran the
+    # page-fault fix-up and every refetch respawned a doomed handler.
+    case = make_case(2003)
+    perfect = run_program(case, "perfect", "", None, 200_000)
+    outcome = run_program(
+        case, "multithreaded", "seed:2003,pte_corrupt:140", None, 200_000,
+        engine,
+    )
+    assert outcome.ok, outcome.detail
+    assert outcome.digest == perfect.digest
 
 
 def test_fuzz_rejects_unknown_cause():

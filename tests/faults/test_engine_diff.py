@@ -4,14 +4,15 @@ kernel, plus the oracle self-test proving a skewed kernel is caught."""
 import pytest
 
 import repro.faults.fuzz as fuzz_mod
+from repro.engine import ENGINES
 from repro.engine.core import FusedSMTCore
 from repro.faults.cli import main as fuzz_main
-from repro.faults.fuzz import fuzz, make_case, run_engine_diff_case
+from repro.faults.fuzz import fuzz, make_case, run_case
 
 
 def test_clean_engines_agree():
-    result = run_engine_diff_case(
-        make_case(1, length=20, iters=8), max_cycles=600_000
+    result = run_case(
+        make_case(1, length=20, iters=8), max_cycles=600_000, engines=ENGINES
     )
     assert result.ok, result.divergences
 
@@ -43,8 +44,8 @@ def test_oracle_catches_a_skewed_kernel(monkeypatch):
     monkeypatch.setattr(
         "repro.engine.core_class", lambda name=None: _SkewedCore
     )
-    result = run_engine_diff_case(
-        make_case(1, length=20, iters=8), max_cycles=600_000
+    result = run_case(
+        make_case(1, length=20, iters=8), max_cycles=600_000, engines=ENGINES
     )
     assert not result.ok
     divergence = result.divergences[0]
@@ -56,7 +57,7 @@ def test_engine_diff_counts_faults_once_per_reference_run():
     # The diff mode runs every mechanism twice, but injected-fault
     # totals must count each schedule once or reports would double.
     case = make_case(2, length=20, iters=8)
-    diff = run_engine_diff_case(case, max_cycles=600_000)
+    diff = run_case(case, max_cycles=600_000, engines=ENGINES)
     normal = fuzz_mod.run_case(case, max_cycles=600_000)
     assert diff.ok and normal.ok
     assert diff.fault_counts == normal.fault_counts

@@ -70,14 +70,14 @@ class TestBuildAndValidate:
     def test_counters_carry_per_cause_attribution(self):
         # The scenario causes flow into manifests through the same
         # introspective as_dict() path as every scalar counter.
-        from repro.scenarios.spec import ScenarioSpec, build_scenario_program
+        from repro.scenarios.spec import ScenarioSpec
         from repro.workloads.builder import make_program
 
         spec = ScenarioSpec(
             name="manifest-causes", seed=6, causes=("brev", "swint"),
             length=16, iters=4,
         )
-        generated = build_scenario_program(spec)
+        generated = spec.case().program
         program = make_program(
             generated.source, regions=generated.regions, scenario_causes=True
         )

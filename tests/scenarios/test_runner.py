@@ -4,14 +4,11 @@ bit-identical between the two engine kernels."""
 
 import pytest
 
-from repro.faults.fuzz import MECHANISMS
-from repro.scenarios.runner import ENGINES, run_matrix, run_scenario
-from repro.scenarios.spec import (
-    SCENARIO_CAUSES,
-    ScenarioSpec,
-    generate_matrix,
-    overrides_for,
-)
+from repro.engine import ENGINES
+from repro.faults.fuzz import overrides_for_causes, run_case
+from repro.scenarios.cli import run_matrix, scenario_json
+from repro.scenarios.spec import SCENARIO_CAUSES, ScenarioSpec, generate_matrix
+from repro.sim.config import MECHANISMS
 
 TRAPPING = tuple(m for m in MECHANISMS if m != "perfect")
 
@@ -25,7 +22,7 @@ def _small_spec(mix, seed=11):
         mix=mix,
         length=20,
         iters=8,
-        config_overrides=overrides_for(causes),
+        config_overrides=overrides_for_causes(causes),
     )
 
 
@@ -34,8 +31,10 @@ def test_mixed_cause_traps_agree_everywhere(mix, monkeypatch):
     """Satellite coverage: nested and back-to-back mixed-cause traps,
     REPRO_SANITIZE=1, all five mechanisms, both engine kernels."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    result = run_scenario(_small_spec(mix), max_cycles=600_000)
-    assert result.ok, result.failures
+    result = run_case(
+        _small_spec(mix).case(), max_cycles=600_000, engines=ENGINES
+    )
+    assert result.ok, result.divergences
 
     by_mech = {}
     for run in result.runs:
@@ -51,30 +50,32 @@ def test_mixed_cause_traps_agree_everywhere(mix, monkeypatch):
                 taken, _, handler_cycles = run.attribution[cause]
                 assert taken > 0, (mechanism, run.engine, cause)
                 assert handler_cycles > 0, (mechanism, run.engine, cause)
-        # The engine-identity check already ran inside run_scenario;
+        # The engine-identity check already ran inside run_case;
         # spot-check the invariant it enforces anyway.
         ref, bat = runs[0], runs[1]
         assert (ref.cycles, ref.digest) == (bat.cycles, bat.digest)
 
 
 def test_perfect_machine_never_traps():
-    result = run_scenario(
-        _small_spec("uniform", seed=4),
+    result = run_case(
+        _small_spec("uniform", seed=4).case(),
         mechanisms=("perfect",),
         max_cycles=600_000,
+        engines=ENGINES,
     )
-    assert result.ok, result.failures
+    assert result.ok, result.divergences
     for run in result.runs:
         assert run.attribution == {}
 
 
 def test_hang_is_reported_not_raised():
-    result = run_scenario(
-        _small_spec("uniform"), mechanisms=("traditional",), max_cycles=50
+    result = run_case(
+        _small_spec("uniform").case(), mechanisms=("traditional",),
+        max_cycles=50, engines=ENGINES,
     )
     assert not result.ok
-    assert result.failures
-    assert any("perfect" in f for f in result.failures)
+    assert result.divergences
+    assert any(d.mechanism == "perfect" for d in result.divergences)
 
 
 def test_run_matrix_collects_every_spec():
@@ -94,11 +95,11 @@ def test_run_matrix_collects_every_spec():
         max_cycles=600_000,
         log=seen.append,
     )
-    assert [r.spec.name for r in results] == [s.name for s in small]
-    assert all(r.ok for r in results), [r.failures for r in results]
+    assert [spec.name for spec, _ in results] == [s.name for s in small]
+    assert all(r.ok for _, r in results), [r.divergences for _, r in results]
     assert seen  # progress callback was exercised
-    for result in results:
-        payload = result.to_json()
-        assert payload["name"] == result.spec.name
-        assert payload["causes"] == list(result.spec.causes)
+    for spec, result in results:
+        payload = scenario_json(spec, result)
+        assert payload["name"] == spec.name
+        assert payload["causes"] == list(spec.causes)
         assert payload["failures"] == []

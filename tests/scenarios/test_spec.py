@@ -5,15 +5,9 @@ import pytest
 
 from repro.analysis.diagnostics import Severity
 from repro.analysis.guest import analyze_source
-from repro.faults.progen import CAUSES, ITLB_STRIDE
-from repro.scenarios.spec import (
-    MIX_STYLES,
-    SCENARIO_CAUSES,
-    ScenarioSpec,
-    build_scenario_program,
-    generate_matrix,
-    overrides_for,
-)
+from repro.faults.fuzz import overrides_for_causes
+from repro.faults.progen import CAUSES, ITLB_STRIDE, MIX_STYLES
+from repro.scenarios.spec import SCENARIO_CAUSES, ScenarioSpec, generate_matrix
 from repro.workloads.builder import make_program
 
 
@@ -66,33 +60,30 @@ class TestPrograms:
         spec = ScenarioSpec(
             name=f"t-{mix}", seed=9, causes=SCENARIO_CAUSES, mix=mix
         )
-        program = build_scenario_program(spec)
+        program = spec.case().program
         assert _errors(program.source) == []
 
     def test_build_is_deterministic(self):
         spec = ScenarioSpec(name="t", seed=5, causes=("brev", "swint"))
-        assert (
-            build_scenario_program(spec).source
-            == build_scenario_program(spec).source
-        )
+        assert spec.case().program.source == spec.case().program.source
 
     def test_itlb_specs_stride_across_text_pages(self):
         spec = ScenarioSpec(name="t", seed=5, causes=("itlb_miss",))
-        program = build_scenario_program(spec)
+        program = spec.case().program
         assert program.itlb_stride == ITLB_STRIDE
         plain = ScenarioSpec(name="t", seed=5, causes=("brev",))
-        assert build_scenario_program(plain).itlb_stride == 0
+        assert plain.case().program.itlb_stride == 0
 
     def test_unaligned_specs_add_the_load_region(self):
         spec = ScenarioSpec(name="t", seed=5, causes=("unaligned",))
-        assert len(build_scenario_program(spec).regions) == 2
+        assert len(spec.case().program.regions) == 2
 
     def test_overrides_without_rng_are_stable(self):
-        assert overrides_for(("itlb_miss", "unaligned")) == {
+        assert overrides_for_causes(("itlb_miss", "unaligned")) == {
             "itlb_entries": 1,
             "align_check": True,
         }
-        assert overrides_for(("brev",)) == {}
+        assert overrides_for_causes(("brev",)) == {}
 
 
 class TestSeedCompatibility:
