@@ -80,9 +80,9 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     # sim -> checkpoint is lazily imported (warm cells in parallel.py,
     # Simulator.save/restore_checkpoint); checkpoint imports sim eagerly.
     # sim -> faults is the lazily-imported spec validation in
-    # MachineConfig and CellPool and the worker-kill hook in
-    # parallel.py.  sim -> engine is the lazily-imported core-class
-    # registry (run_cell, the cache key, CellPool, perfbench).
+    # MachineConfig and the worker-kill hook in parallel.py.  sim ->
+    # engine is the lazily-imported core-class registry (run_cell,
+    # CellSpec's default kernel, perfbench).
     "sim": frozenset(
         {
             "isa",

@@ -40,7 +40,6 @@ from repro.checkpoint.state import (
 )
 from repro.checkpoint.warm import (
     attach_warm,
-    build_workload,
     checkpoint_dir,
     ensure_warm_checkpoint,
     warm_checkpoint_path,
@@ -68,7 +67,6 @@ __all__ = [
     "restore_simulator_checkpoint",
     "run_with_autosave",
     "attach_warm",
-    "build_workload",
     "checkpoint_dir",
     "ensure_warm_checkpoint",
     "warm_checkpoint_path",

@@ -30,12 +30,9 @@ from repro.checkpoint.format import (
     verify_checkpoint,
 )
 from repro.checkpoint.state import machine_config_from_dict
-from repro.checkpoint.warm import (
-    build_workload,
-    ensure_warm_checkpoint,
-    attach_warm,
-)
+from repro.checkpoint.warm import attach_warm, ensure_warm_checkpoint
 from repro.sim.config import MECHANISMS, MachineConfig
+from repro.workloads.suite import build_workload
 
 
 def _parse_workload(raw: str) -> str | tuple[str, ...]:
@@ -144,13 +141,8 @@ def _cmd_restore(args) -> int:
 
         restore_simulator_checkpoint(sim, args.path)
     if args.user_insts:
-        since = (
-            sim.core.cycle,
-            sim.mechanism.stats.committed_fills if sim.mechanism else 0,
-            sim.core.stats.retired_user,
-        )
-        sim.core.run(args.user_insts, args.max_cycles)
-        _print_result(sim.result(since=since), args.json)
+        result = sim.run(args.user_insts, args.max_cycles, warmup_insts=0)
+        _print_result(result, args.json)
     else:
         print(f"restored {args.path} at cycle {sim.core.cycle}")
     return 0

@@ -90,15 +90,6 @@ def warm_checkpoint_path(
     return directory / f"warm-{warm_token(workload, warmup_insts, config)}.ckpt"
 
 
-def build_workload(workload: str | tuple[str, ...]):
-    """Build the program(s) for a workload name or mix tuple."""
-    from repro.workloads.suite import build_benchmark, build_mix
-
-    if isinstance(workload, str):
-        return build_benchmark(workload)
-    return build_mix(tuple(workload))
-
-
 def ensure_warm_checkpoint(
     workload: str | tuple[str, ...],
     warmup_insts: int,
@@ -114,6 +105,7 @@ def ensure_warm_checkpoint(
     """
     from repro.sim.parallel import engine_fingerprint
     from repro.sim.simulator import Simulator
+    from repro.workloads.suite import build_workload
 
     path = warm_checkpoint_path(workload, warmup_insts, config, directory)
     if path.exists():

@@ -19,10 +19,11 @@ one simulator either way (:func:`repro.sim.parallel.run_cell`):
     listeners run on, and what ``Simulator(program, config)`` builds
     when no ``core_cls`` is given.
 
-Select a kernel per process with ``REPRO_ENGINE=fused|reference``; the
-choice propagates to pool workers and is part of every result-cache
-key, so results from different kernels can never be served for one
-another.
+``REPRO_ENGINE=fused|reference`` selects the kernel of every
+:class:`~repro.sim.parallel.CellSpec` made in the process; the spec
+carries it from then on (into pool workers, manifests and its
+result-cache key), so results from different kernels can never be
+served for one another.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -97,10 +96,6 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-    # The fuzzer owns its fault schedules; an inherited REPRO_FAULTS
-    # would also fault the perfect reference run and poison the oracle.
-    os.environ.pop("REPRO_FAULTS", None)
-
     log = (lambda msg: None) if args.quiet else (
         lambda msg: print(msg, flush=True)
     )

@@ -1,10 +1,11 @@
 """The deterministic fault injector: seeded adversity for a live core.
 
-Attached as ``core.faults`` when ``MachineConfig.faults`` (or the
-``REPRO_FAULTS`` environment variable) holds a non-empty spec; ``None``
-otherwise, so a fault-free machine pays one ``is not None`` check per
-hook site and is bit-identical to a machine built before this package
-existed (the ``listeners`` / ``_sanitizer`` pattern).
+Attached as ``core.faults`` when ``MachineConfig.faults`` (whose
+default is the ``REPRO_FAULTS`` environment variable) holds a non-empty
+spec; ``None`` otherwise, so a fault-free machine pays one
+``is not None`` check per hook site and is bit-identical to a machine
+built before this package existed (the ``listeners`` / ``_sanitizer``
+pattern).
 
 Every fault is **architecture-preserving**: it may add misses, squashes,
 handler re-executions, or latency, but never changes the program's

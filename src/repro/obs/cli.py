@@ -26,8 +26,8 @@ from repro.obs.chrome import ChromeTraceExporter, validate_chrome_trace
 from repro.obs.manifest import build_manifest, validate_manifest, write_manifest
 from repro.sim.config import MECHANISMS, MachineConfig
 from repro.sim.simulator import Simulator
-from repro.workloads import BENCHMARKS, build_benchmark
-from repro.workloads.suite import build_mix
+from repro.workloads import BENCHMARKS
+from repro.workloads.suite import build_workload
 
 
 def _build_programs(names: list[str]):
@@ -37,9 +37,7 @@ def _build_programs(names: list[str]):
                 f"repro-trace: unknown workload {name!r} "
                 f"(choose from {sorted(BENCHMARKS)})"
             )
-    if len(names) == 1:
-        return build_benchmark(names[0])
-    return build_mix(tuple(names))
+    return build_workload(names[0] if len(names) == 1 else names)
 
 
 def main(argv: list[str] | None = None) -> int:

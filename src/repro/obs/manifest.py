@@ -60,9 +60,9 @@ def build_manifest(
 ) -> dict:
     """Assemble the manifest for one finished run.
 
-    ``engine_backend`` names the kernel the run used; leave it ``None``
-    for a cell run through :func:`repro.sim.parallel.run_cell`, whose
-    kernel is the resolved ``REPRO_ENGINE``."""
+    ``engine_backend`` names the kernel the run used (the result cache
+    passes its cell's ``CellSpec.engine``); ``None`` records the
+    resolved ``REPRO_ENGINE``."""
     # Local import: repro.sim.parallel imports the simulator stack, which
     # imports this package via the pipeline core.
     from repro.engine import resolve_engine

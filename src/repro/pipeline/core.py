@@ -155,11 +155,10 @@ class SMTCore:
         #: ``is not None`` check, so a fault-free machine is bit-identical
         #: to one built before the injector existed.
         self.faults = None
-        fault_spec = config.faults or os.environ.get("REPRO_FAULTS", "")
-        if fault_spec:
+        if config.faults:
             from repro.faults.injector import FaultInjector
 
-            self.faults = FaultInjector(self, fault_spec)
+            self.faults = FaultInjector(self, config.faults)
         #: PAL entries by handler name, set when programs load; lengths
         #: (per handler) drive window reservations and fetch stop.
         self.pal_entries: dict[str, int] = {}

@@ -25,9 +25,10 @@ Subcommands:
 
 Ops knobs (``REPRO_SERVE_*``) are documented in ``docs/SERVICE.md``;
 flags override the environment.  ``--engine`` pins ``REPRO_ENGINE``
-for the server *and its pool workers* -- without it the backend is
-inherited from the caller's environment (see "Hermetic smoke runs" in
-docs/SERVICE.md for why the smoke resolves it explicitly).
+for the server, so it is the kernel of every cell the server decodes or
+builds -- without it the kernel is inherited from the caller's
+environment (see "Hermetic smoke runs" in docs/SERVICE.md for why the
+smoke resolves it explicitly).
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def _add_server_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine", default=None, metavar="BACKEND",
-        help="pin the engine backend (sets REPRO_ENGINE for this "
-        "process and its pool workers; default: inherit environment)",
+        help="pin the engine backend (sets REPRO_ENGINE, the kernel of "
+        "every cell this server runs; default: inherit environment)",
     )
 
 
@@ -103,8 +104,8 @@ def _build_server(args: argparse.Namespace):
     from repro.serve.store import ContentStore
 
     if args.engine:
-        # Pin REPRO_ENGINE process-wide *before* any pool spawns, so the
-        # workers inherit the same backend the server resolves with.
+        # Pin REPRO_ENGINE before the service starts: it checks the pin
+        # and every spec it decodes or builds takes its kernel from it.
         os.environ["REPRO_ENGINE"] = args.engine
     store = ContentStore(
         directory=args.cache_dir,

@@ -342,6 +342,7 @@ def run_smoke(args) -> SmokeReport:
     raises :class:`ClusterError`.
     """
     env = hermetic_env(args.engine)
+    os.environ.update(env)  # the in-process oracle runs the nodes' kernel
     payload = {
         "workloads": args.workload,
         "mechanisms": args.mechanism,
@@ -354,7 +355,6 @@ def run_smoke(args) -> SmokeReport:
     baseline = (
         json.loads(Path(args.baseline).read_text()) if args.baseline else None
     )
-    os.environ.update(env)  # the in-process oracle runs the nodes' kernel
     root = Path(args.cluster_dir or tempfile.mkdtemp(prefix="repro-serve-smoke-"))
     report = SmokeReport(
         engine_backend=env["REPRO_ENGINE"],

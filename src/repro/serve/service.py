@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass
 from typing import AsyncIterator
 
+from repro.engine import resolve_engine
 from repro.serve.queue import JobQueue, JobState
 from repro.serve.ring import HashRing
 from repro.serve.store import ContentStore, _env_int
@@ -79,6 +80,8 @@ def _build_dataclass(cls, data: dict, where: str):
         )
     for name, value in data.items():
         default = fields[name].default
+        if default is dataclasses.MISSING and isinstance(value, (bool, int, str)):
+            default = fields[name].default_factory()  # faults: REPRO_FAULTS
         if isinstance(default, (bool, int, str)) and type(value) is not type(default):
             raise SweepRequestError(
                 f"{where}.{name} must be a {type(default).__name__}, "
@@ -135,7 +138,11 @@ def _check_length(value, name: str) -> int:
 
 def spec_to_dict(spec: CellSpec) -> dict:
     """JSON-able form of one cold cell (the client's wire format; warm
-    cells have none, see :func:`spec_from_dict`)."""
+    cells have none, see :func:`spec_from_dict`).
+
+    The config carries the cell's fault plan, so the server runs the
+    client's plan, never its own.  The kernel is not sent: the cell runs
+    on the server's kernel (the kernels are bit-identical)."""
     if spec.warm_from is not None or spec.warm_hash is not None:
         raise ValueError(
             "warm cells never cross the wire; send the cold cell with "
@@ -339,6 +346,11 @@ class SweepService:
                 f"got {self.pools}"
             )
         self.workers = default_workers() if workers is None else workers
+        # REPRO_ENGINE and REPRO_FAULTS are the defaults of every spec
+        # and config this node builds (grid sweeps); check them now, at
+        # start, rather than in every such cell.
+        resolve_engine()
+        MachineConfig()
         #: The one cell executor (it validates its knobs now, at start).
         self.pool = CellPool(
             (self.workers or os.cpu_count() or 1) if self.pools else 0

@@ -3,9 +3,9 @@
 :class:`ContentStore` promotes the fingerprint-keyed
 :class:`~repro.sim.parallel.ResultCache` into a proper store: the same
 on-disk layout (one fsynced, rename-published pickle plus a JSON
-manifest per cell, addressed by the sha-256 of everything that defines
-the result -- spec, engine backend, fault spec, source fingerprint), but
-with
+manifest per cell, addressed by :attr:`~repro.sim.parallel.CellSpec.key`:
+the sha-256 of the spec -- which carries its fault plan and kernel --
+and the source fingerprint), but with
 
 * a **size bound** -- ``max_entries`` / ``max_bytes`` (or the
   ``REPRO_SERVE_CACHE_ENTRIES`` / ``REPRO_SERVE_CACHE_MB`` knobs) --
@@ -39,7 +39,7 @@ from repro.sim.parallel import CellSpec, ResultCache
 from repro.sim.simulator import SimResult
 
 #: What a content address looks like (the 40-hex-digit sha-256 prefix
-#: :meth:`ResultCache._path` files results under).
+#: :attr:`CellSpec.key` files results under).
 _KEY_RE = re.compile(r"[0-9a-f]{40}")
 
 
@@ -103,7 +103,7 @@ class ContentStore(ResultCache):
     def key(self, spec: CellSpec) -> str:
         """The cell's content address (the hash the pickle is filed
         under); in-flight dedupe and ring placement both key on this."""
-        return self._path(spec).stem
+        return spec.key
 
     def get(self, spec: CellSpec) -> SimResult | None:
         result = super().get(spec)

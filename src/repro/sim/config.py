@@ -14,6 +14,7 @@ scales the FU pool the way the paper scales the machine.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field
 
 from repro.exceptions.limits import LimitKnobs
@@ -124,8 +125,10 @@ class MachineConfig:
     #: Deterministic fault-injection spec (docs/ROBUSTNESS.md), e.g.
     #: ``"seed:42,force_miss:50,mem_delay:20:60"``.  Empty string means
     #: no injector is built and the machine is bit-identical to one
-    #: without the faults package; ``REPRO_FAULTS`` also enables it.
-    faults: str = ""
+    #: without the faults package.  ``REPRO_FAULTS`` is the default when
+    #: a config is built, so the plan travels with the config from then
+    #: on (into cache keys, workers, the wire and checkpoints).
+    faults: str = field(default_factory=lambda: os.environ.get("REPRO_FAULTS", ""))
 
     def __post_init__(self) -> None:
         if self.fu_pool is None:

@@ -15,6 +15,13 @@ simulation itself.
 Cells run in worker processes through one :class:`CellPool`, shared by
 :func:`run_cells` and the sweep service (:mod:`repro.serve`).
 
+A spec is everything its result depends on: the fault plan rides in
+``config.faults`` and the cycle kernel in ``engine``, both filled from
+the environment when the spec (or its config) is made and carried from
+then on -- into the content address, pool workers, the sweep service's
+wire format and warm checkpoints -- so no layer reads either variable
+again.
+
 Environment knobs:
 
 ``REPRO_JOBS``
@@ -34,13 +41,15 @@ Environment knobs:
     timeout, or error) is resubmitted (default ``2``, linear backoff of
     0.25 s per attempt) before it runs in process.
 ``REPRO_ENGINE``
-    Cycle kernel for every cell: ``fused`` (the default) or
+    Default of :attr:`CellSpec.engine`: ``fused`` (the default) or
     ``reference`` (the oracle), see :mod:`repro.engine`.  The kernels
-    are differentially verified to be bit-identical, but the selection
-    still keys the cache and follows cells into pool workers, so a
-    result can always be traced to the kernel that produced it.  How
-    much faster the fused kernel runs is the ``engine.fused_speedup``
-    metric in ``benchmarks/e2e/README.md``.
+    are differentially verified to be bit-identical, but the spec's
+    kernel still keys the cache, so a result can always be traced to
+    the kernel that produced it.  How much faster the fused kernel runs
+    is the ``engine.fused_speedup`` metric in
+    ``benchmarks/e2e/README.md``.
+``REPRO_FAULTS``
+    Default of ``MachineConfig.faults``, see :mod:`repro.sim.config`.
 ``REPRO_CACHE``
     Set to ``0`` to disable the on-disk result cache.
 ``REPRO_CACHE_DIR``
@@ -53,9 +62,9 @@ Environment knobs:
     Where warm checkpoints live (default ``~/.cache/repro-ckpt``); see
     :func:`repro.checkpoint.checkpoint_dir`.
 
-Cache keys cover the machine configuration, the workload, the run
-lengths, *and* a fingerprint of the installed ``repro`` sources, so a
-code change can never serve stale results.
+Cache keys (:attr:`CellSpec.key`) cover the whole spec *and* a
+fingerprint of the installed ``repro`` sources, so a code change can
+never serve stale results.
 """
 
 from __future__ import annotations
@@ -76,22 +85,29 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.sim.config import MachineConfig
 from repro.sim.simulator import SimResult, Simulator
-from repro.workloads.suite import build_benchmark, build_mix
+from repro.workloads.suite import build_workload
 
 
-@dataclass
+def _default_engine() -> str:
+    from repro.engine import resolve_engine
+
+    return resolve_engine()
+
+
+@dataclass(frozen=True)
 class CellSpec:
     """One independent simulation: a workload under a configuration.
 
     ``workload`` is a benchmark name (``"compress"``) or a tuple of
     names for a multiprogrammed mix.  The whole spec must stay picklable
     and deterministic -- it is both the unit of work shipped to worker
-    processes and the cache key.
+    processes and the cache key.  Frozen, so :attr:`key` can be computed
+    once; derive variants with :func:`dataclasses.replace`.
     """
 
     workload: str | tuple[str, ...]
@@ -104,17 +120,17 @@ class CellSpec:
     #: cache key; ``warm_hash`` (the checkpoint's content hash) is.
     warm_from: str | None = None
     warm_hash: str | None = None
+    #: Cycle kernel (:mod:`repro.engine`), resolved from ``REPRO_ENGINE``
+    #: when the spec is made, so an alias never reaches a key.
+    engine: str = field(default_factory=_default_engine)
 
     def build_programs(self):
         """Construct the program(s) this cell simulates."""
-        if isinstance(self.workload, str):
-            return build_benchmark(self.workload)
-        return build_mix(tuple(self.workload))
+        return build_workload(self.workload)
 
     def cache_token(self) -> str:
         """A deterministic serialization of everything that defines
-        this cell's result (the engine fingerprint is added on top by
-        :class:`ResultCache`)."""
+        this cell's result (:attr:`key` adds the source fingerprint)."""
         return repr(
             (
                 self.workload,
@@ -123,8 +139,16 @@ class CellSpec:
                 self.warmup_insts,
                 self.max_cycles,
                 self.warm_hash,
+                self.engine,
             )
         )
+
+    @functools.cached_property
+    def key(self) -> str:
+        """The cell's content address: the name its result is filed
+        under, computed once per spec."""
+        token = f"{engine_fingerprint()}|{self.cache_token()}"
+        return hashlib.sha256(token.encode()).hexdigest()[:40]
 
 
 def _test_fault_hook() -> None:
@@ -153,32 +177,26 @@ def _test_fault_hook() -> None:
         time.sleep(3600)
 
 
-def run_cell(spec: CellSpec, engine: str | None = None) -> SimResult:
-    """Run one cell to completion (in the current process) under the
-    selected cycle kernel: ``engine``, else ``REPRO_ENGINE``, else the
-    fused kernel."""
+def run_cell(spec: CellSpec) -> SimResult:
+    """Run one cell to completion (in the current process) on the
+    spec's cycle kernel."""
     _test_fault_hook()
     from repro.engine import core_class
 
     sim = Simulator(
-        spec.build_programs(), spec.config, core_cls=core_class(engine)
+        spec.build_programs(), spec.config, core_cls=core_class(spec.engine)
     )
+    warmup_insts = spec.warmup_insts
     if spec.warm_from is not None:
         # Attach the shared warm state and measure from there; the
         # warmup already happened once, in the checkpoint donor.
         from repro.checkpoint.warm import attach_warm
 
         attach_warm(sim, spec.warm_from)
-        since = (
-            sim.core.cycle,
-            sim.mechanism.stats.committed_fills if sim.mechanism else 0,
-            sim.core.stats.retired_user,
-        )
-        sim.core.run(spec.user_insts, spec.max_cycles)
-        return sim.result(since=since)
+        warmup_insts = 0
     return sim.run(
         user_insts=spec.user_insts,
-        warmup_insts=spec.warmup_insts,
+        warmup_insts=warmup_insts,
         max_cycles=spec.max_cycles,
     )
 
@@ -188,7 +206,7 @@ def _on_cell_timeout(signum, frame) -> None:
 
 
 def run_cell_batch(
-    specs: list[CellSpec], engine: str | None = None, timeout: float = 0.0
+    specs: list[CellSpec], timeout: float = 0.0
 ) -> list[SimResult]:
     """Run ``specs`` one after another with :func:`run_cell`, in spec
     order.  The pool-worker entry point: :class:`CellPool` submits every
@@ -200,13 +218,13 @@ def run_cell_batch(
     interrupts Python bytecode only.
     """
     if not timeout:
-        return [run_cell(spec, engine) for spec in specs]
+        return [run_cell(spec) for spec in specs]
     signal.signal(signal.SIGALRM, _on_cell_timeout)
     results = []
     for spec in specs:
         signal.setitimer(signal.ITIMER_REAL, timeout)
         try:
-            results.append(run_cell(spec, engine))
+            results.append(run_cell(spec))
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
     return results
@@ -245,16 +263,17 @@ def derive_warm_cells(specs: list[CellSpec]) -> list[CellSpec]:
     return out
 
 
-#: Source-root -> digest.  Module-level (not ``lru_cache``) so the cache
-#: is keyed by the *root* being hashed and tests can reset it; filled at
-#: most once per root per process.
-_FINGERPRINT_CACHE: dict[Path, str] = {}
+#: ``repro.__file__`` -> digest of the source root it names.
+#: Module-level (not ``lru_cache``) so the cache is keyed by the *root*
+#: being hashed and tests can reset it; filled at most once per root per
+#: process.
+_FINGERPRINT_CACHE: dict[str, str] = {}
 
 #: How many full tree-hash passes this process has actually performed.
-#: ``ResultCache`` consults the fingerprint on every ``get``/``put``
-#: (and the sweep service on every request), so anything above one pass
-#: per source root is a per-cell O(repo) regression; the counter makes
-#: that assertable (see tests/sim/test_parallel.py).
+#: Every spec's :attr:`CellSpec.key` (and every manifest, warm token and
+#: checkpoint) consults the fingerprint, so anything above one pass per
+#: source root is a per-cell O(repo) regression; the counter makes that
+#: assertable (see tests/sim/test_parallel.py).
 _fingerprint_passes = 0
 
 
@@ -264,26 +283,26 @@ def engine_fingerprint() -> str:
     Part of every cache key: any source change invalidates all cached
     results, which keeps the cache trustworthy across engine work.  The
     tree walk happens exactly once per source root per process; every
-    subsequent call (one per ``ResultCache.get``/``put``) is a dict hit.
+    subsequent call is a dict hit, with no filesystem work.
     """
     import repro
 
-    root = Path(repro.__file__).resolve().parent
-    cached = _FINGERPRINT_CACHE.get(root)
+    cached = _FINGERPRINT_CACHE.get(repro.__file__)
     if cached is not None:
         return cached
     global _fingerprint_passes
     _fingerprint_passes += 1
+    root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*.py")):
         digest.update(str(path.relative_to(root)).encode())
         digest.update(path.read_bytes())
-    _FINGERPRINT_CACHE[root] = digest.hexdigest()[:16]
-    return _FINGERPRINT_CACHE[root]
+    _FINGERPRINT_CACHE[repro.__file__] = digest.hexdigest()[:16]
+    return _FINGERPRINT_CACHE[repro.__file__]
 
 
 class ResultCache:
-    """Pickle-per-cell result store keyed by (spec, engine) hashes.
+    """Pickle-per-cell result store keyed by :attr:`CellSpec.key`.
 
     ``REPRO_CACHE=0`` is enforced *here*, inside :meth:`get` and
     :meth:`put` (a disabled cache misses every get and drops every put),
@@ -307,22 +326,7 @@ class ResultCache:
         return os.environ.get("REPRO_CACHE", "1") != "0"
 
     def _path(self, spec: CellSpec) -> Path:
-        # REPRO_FAULTS changes results without touching the spec (the
-        # core falls back to it when config.faults is empty), so it must
-        # key the cache too or faulted runs would be served clean cells.
-        # The cycle kernel keys it as well: kernels are verified
-        # bit-identical, but a cached result must stay traceable to the
-        # kernel that produced it (and a kernel bug must never hide
-        # behind another kernel's cached cells).
-        from repro.engine import resolve_engine
-
-        faults_env = os.environ.get("REPRO_FAULTS", "")
-        token = (
-            f"{engine_fingerprint()}|{faults_env}|{resolve_engine()}|"
-            f"{spec.cache_token()}"
-        )
-        name = hashlib.sha256(token.encode()).hexdigest()[:40]
-        return self.directory / f"{name}.pkl"
+        return self.directory / f"{spec.key}.pkl"
 
     def get(self, spec: CellSpec) -> SimResult | None:
         if not self.enabled():
@@ -438,6 +442,7 @@ class ResultCache:
                         checkpoint=getattr(result, "checkpoint", None),
                         cache_stats=self._manifest_cache_stats(),
                         node=self._manifest_node_info(),
+                        engine_backend=spec.engine,
                     ),
                 )
             tmp.replace(path.with_suffix(".json"))
@@ -497,13 +502,9 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-#: Environment the parent must reproduce inside pool workers.
-_WORKER_ENV_KEYS = (
-    "REPRO_SANITIZE",
-    "REPRO_FAULTS",
-    "REPRO_ENGINE",
-    "REPRO_TEST_WORKER_FAULT",
-)
+#: Environment the parent must reproduce inside pool workers.  The
+#: fault plan and the kernel are not here: they travel in the spec.
+_WORKER_ENV_KEYS = ("REPRO_SANITIZE", "REPRO_TEST_WORKER_FAULT")
 
 
 def _worker_env() -> dict[str, str]:
@@ -517,8 +518,8 @@ def _worker_init(env: dict[str, str]) -> None:
 
     Spawn-based pools on some platforms start workers without the
     parent's (post-launch) environment mutations; cells must run under
-    the same sanitizer and fault-injection settings either way, or
-    sanitized (or faulted) parallel runs would silently check nothing.
+    the same sanitizer setting either way, or sanitized parallel runs
+    would silently check nothing.
     """
     for key in _WORKER_ENV_KEYS:
         if key in env:
@@ -584,23 +585,14 @@ class CellPool:
     Backoff waits and in-process runs happen on one helper thread, never
     on the submitting thread (the service's event loop) or the pool's.
     ``workers == 0`` has no pool: cells run in process on that thread.
-    Both knobs are read once, here, and ``REPRO_ENGINE`` and
-    ``REPRO_FAULTS`` are checked here too, so a bad value fails at
-    construction instead of in every cell.
+    Both knobs are read once, here, so a bad value fails at construction
+    instead of in every cell.
     """
 
     def __init__(self, workers: int) -> None:
-        from repro.engine import resolve_engine
-
         self.workers = workers
         self.timeout = job_timeout()
         self.retries = max_retries()
-        resolve_engine()
-        faults = os.environ.get("REPRO_FAULTS", "")
-        if faults:
-            from repro.faults.config import parse_faults
-
-            parse_faults(faults)
         self._pool: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
         self._closed = False

@@ -105,3 +105,12 @@ def build_mix(names: tuple[str, ...] | list[str]) -> list[Program]:
         build_benchmark(name, DEFAULT_BASE + i * SLICE_STRIDE)
         for i, name in enumerate(names)
     ]
+
+
+def build_workload(
+    name_or_names: str | tuple[str, ...] | list[str],
+) -> Program | list[Program]:
+    """Build a workload: one benchmark by name, or a mix of several."""
+    if isinstance(name_or_names, str):
+        return build_benchmark(name_or_names)
+    return build_mix(tuple(name_or_names))

@@ -7,13 +7,18 @@ import json
 
 import pytest
 
-from repro.checkpoint import run_with_autosave
-from repro.checkpoint.format import CheckpointFormatError, write_checkpoint
+from repro.checkpoint import machine_config_from_dict, run_with_autosave
+from repro.checkpoint.format import (
+    CheckpointFormatError,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.sim.config import MachineConfig
 from repro.sim.simulator import Simulator
 from repro.workloads.suite import build_benchmark
 
 USER, WARMUP, EVERY = 1500, 600, 400
+PLAN = "seed:5,tlb_evict:30,pte_corrupt:60"
 
 
 def make(mechanism: str = "multithreaded") -> Simulator:
@@ -70,6 +75,41 @@ def test_killed_run_resumes_to_identical_stats(tmp_path, die_after):
     # authoritative, so deliberately pass garbage ones here.
     resumed = run_with_autosave(
         make(), path, user_insts=1, warmup_insts=99999, autosave_every=EVERY
+    )
+    assert fingerprint(straight) == fingerprint(resumed)
+
+
+def test_faulted_run_resumes_without_the_fault_plan_variable(
+    tmp_path, monkeypatch
+):
+    """The plan is part of the saved config, so a run faulted through
+    ``REPRO_FAULTS`` resumes under it in a process that lacks it."""
+    monkeypatch.setenv("REPRO_FAULTS", PLAN)
+    straight = make().run(user_insts=USER, warmup_insts=WARMUP)
+    path = tmp_path / "a.ckpt"
+    count = 0
+
+    def killer(_cycle: int) -> None:
+        nonlocal count
+        count += 1
+        if count >= 2:
+            raise _Die
+
+    with pytest.raises(_Die):
+        run_with_autosave(
+            make(),
+            path,
+            user_insts=USER,
+            warmup_insts=WARMUP,
+            autosave_every=EVERY,
+            on_autosave=killer,
+        )
+    monkeypatch.delenv("REPRO_FAULTS")
+    # Rebuild the machine from the file alone, as `repro-ckpt resume` does.
+    _, body = read_checkpoint(path)
+    config = machine_config_from_dict(body["config"])
+    resumed = run_with_autosave(
+        Simulator(build_benchmark("compress"), config), path
     )
     assert fingerprint(straight) == fingerprint(resumed)
 

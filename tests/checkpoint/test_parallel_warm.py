@@ -10,7 +10,13 @@ import pytest
 
 from repro.obs.manifest import validate_manifest
 from repro.sim.config import MachineConfig
-from repro.sim.parallel import CellSpec, ResultCache, derive_warm_cells, run_cells
+from repro.sim.parallel import (
+    CellSpec,
+    ResultCache,
+    derive_warm_cells,
+    run_cell,
+    run_cells,
+)
 
 MECHS = ("traditional", "multithreaded", "hardware", "quickstart")
 
@@ -89,6 +95,31 @@ def test_warm_cells_match_across_kernels(env, monkeypatch):
     for got, want in zip(fused, reference):
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
     assert len({r.checkpoint["hash"] for r in fused + reference}) == 1
+
+
+def test_fault_free_cell_never_reuses_a_faulted_warm_state(env, monkeypatch):
+    """The plan is part of the config a warm token hashes: a warm state
+    derived under ``REPRO_FAULTS`` is not one a fault-free cell of the
+    same family may attach to."""
+    def cell():
+        return CellSpec(
+            workload="gcc",
+            config=MachineConfig(mechanism="traditional"),
+            user_insts=1000,
+            warmup_insts=1500,
+            max_cycles=2_000_000,
+        )
+
+    monkeypatch.setenv("REPRO_FAULTS", "seed:5,tlb_evict:30,pte_corrupt:60")
+    derive_warm_cells([cell()])
+    monkeypatch.delenv("REPRO_FAULTS")
+    shared = run_cell(derive_warm_cells([cell()])[0])
+    monkeypatch.setenv("REPRO_CKPT_DIR", str(env / "fresh"))
+    fresh = run_cell(derive_warm_cells([cell()])[0])
+    # Every counter agrees; only the lineage hash names another file.
+    assert dataclasses.replace(shared, checkpoint=None) == dataclasses.replace(
+        fresh, checkpoint=None
+    )
 
 
 def test_cold_runs_record_null_lineage(env):

@@ -140,6 +140,10 @@ class TestExpandSweep:
                 },
                 "instant_fetch must be a bool",
             ),
+            (
+                {"workloads": ["compress"], "configs": [{"faults": 5}]},
+                "faults must be a str",
+            ),
         ],
     )
     def test_bad_requests_are_rejected(self, payload, match):
@@ -170,6 +174,19 @@ class TestResolution:
             )
             assert not outcome.cached and not outcome.deduped
         assert service.cells_simulated == 2
+
+    def test_wire_cell_runs_the_clients_fault_plan(self, tmp_path, monkeypatch):
+        """The plan travels in the config: a server whose environment
+        has no ``REPRO_FAULTS`` runs a decoded cell under the client's
+        plan, as the client would locally."""
+        monkeypatch.setenv("REPRO_FAULTS", "seed:5,tlb_evict:30,pte_corrupt:60")
+        spec = make_spec(user_insts=1500, warmup_insts=400)
+        local = run_cell(spec)
+        wire = spec_to_dict(spec)
+        monkeypatch.delenv("REPRO_FAULTS")
+        service = make_service(tmp_path)
+        (outcome,) = asyncio.run(service.run_cells([spec_from_dict(wire)]))
+        assert dataclasses.asdict(outcome.result) == dataclasses.asdict(local)
 
     def test_duplicates_in_one_request_are_deduped(self, tmp_path):
         """N copies of one cell in a request cost one simulation; the

@@ -128,6 +128,32 @@ class TestEngineFingerprint:
         ResultCache(tmp_path)._path(make_specs()[0])
         assert parallel_mod._fingerprint_passes == baseline + 1
 
+    def test_repeat_call_does_no_filesystem_work(self, monkeypatch):
+        """Manifests, warm tokens and checkpoint saves call it on every
+        use, so a memoized fingerprint must be a plain dict hit."""
+        from pathlib import Path
+
+        from repro.sim.parallel import engine_fingerprint
+
+        first = engine_fingerprint()
+        calls = []
+
+        def recording(name):
+            original = getattr(Path, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls.append(name)
+                return original(self, *args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in ("resolve", "rglob", "read_bytes", "stat"):
+                patch.setattr(Path, name, recording(name))
+            again = engine_fingerprint()
+        assert calls == []
+        assert again == first
+
 
 class TestManifestFailureContainment:
     def test_put_survives_non_oserror_manifest_failure(

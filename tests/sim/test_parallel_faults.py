@@ -71,7 +71,7 @@ def test_hung_worker_is_killed_and_retried(
     assert _same(results, serial_reference)
 
 
-def _refuse(specs, engine=None, timeout=0.0):
+def _refuse(specs, timeout=0.0):
     """Stands in for ``run_cell_batch`` in pool workers: every pool
     attempt fails (module level, so pool submissions can pickle it)."""
     raise RuntimeError("pool attempt refused")
@@ -173,25 +173,27 @@ def test_worker_env_propagates_fault_spec(monkeypatch):
 
     monkeypatch.setenv("REPRO_FAULTS", "seed:1,mem_delay:40")
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    spec = _specs(1)[0]
     env = parallel._worker_env()
-    assert env["REPRO_FAULTS"] == "seed:1,mem_delay:40"
+    assert "REPRO_FAULTS" not in env  # the plan travels in the spec
     assert "REPRO_SANITIZE" not in env
 
-    # A worker initialised from that env reproduces it exactly.
-    monkeypatch.setenv("REPRO_FAULTS", "stale-value")
+    # A worker initialised from that env reproduces it exactly, and the
+    # spec it unpickles still names the plan.
+    monkeypatch.delenv("REPRO_FAULTS")
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     parallel._worker_init(env)
-    assert os.environ["REPRO_FAULTS"] == "seed:1,mem_delay:40"
     assert "REPRO_SANITIZE" not in os.environ
+    shipped = pickle.loads(pickle.dumps(spec))
+    assert shipped.config.faults == "seed:1,mem_delay:40"
 
 
 def test_fault_spec_keys_the_cache(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
-    spec = _specs(1)[0]
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    clean_path = cache._path(spec)
+    clean_path = cache._path(_specs(1)[0])
     monkeypatch.setenv("REPRO_FAULTS", "seed:1,mem_delay:40")
-    assert cache._path(spec) != clean_path
+    assert cache._path(_specs(1)[0]) != clean_path
 
 
 def test_knob_validation():
