@@ -156,8 +156,9 @@ ATTR_TYPES: dict[tuple[str, str], tuple] = {
         "cont",
         "Cache",
         "_sets",
-        ("cont", "Cache", "_sets", ("obj", "_Line")),
+        ("cont", "Cache", "_sets", None),
     ),
+    ("Cache", "_dirty"): ("cont", "Cache", "_dirty", None),
     ("Cache", "_mshrs"): ("cont", "Cache", "_mshrs", None),
 }
 
@@ -183,7 +184,6 @@ NAME_TYPES: dict[str, tuple] = {
     "boundary": ("obj", "Uop"),
     "oldest_branch": ("obj", "Uop"),
     "master_uop": ("obj", "Uop"),
-    "line": ("obj", "_Line"),
 }
 
 #: ``self.<attr>`` holding a pre-bound collaborator method: calling it is

@@ -24,7 +24,7 @@ execute, decode, fetch, in that order) with:
 * the issue fast paths (integer ALU, branch, memory) dispatched
   directly on ``exec_kind`` with operands read inline -- everything
   else falls back to the reference ``_issue``;
-* the L1-I clean-hit path inlined (stats, LRU clock, and last-use
+* the L1-I clean-hit path inlined (stats, LRU clock, and line-stamp
   updates transcribed from ``Cache.access``; any miss or outstanding
   MSHR falls back to the full access method);
 * the cyclic garbage collector paused for the duration of the loop
@@ -755,19 +755,19 @@ class FusedSMTCore(SMTCore):
                         pc = thread.pc
                         break
                     # L1-I probe: hit fast path transcribed from
-                    # Cache.access (stats, LRU clock, last-use, and the
+                    # Cache.access (stats, LRU clock, line stamp, and the
                     # hit-under-miss MSHR merge); a miss takes the full
                     # method.  A clean hit completes at now + l1_latency
                     # (l1i is built with config.l1_latency, the same
                     # knob behind l1_limit), so it can never stall.
                     line_addr = (pc * 4) >> l1i_shift
-                    line = l1i_sets[line_addr & l1i_mask].get(line_addr)
-                    if line is not None:
+                    lines = l1i_sets[line_addr & l1i_mask]
+                    if line_addr in lines:
                         l1i_stats.accesses += 1
                         l1i_stats.hits += 1
                         clock = l1i._use_clock + 1
                         l1i._use_clock = clock
-                        line.last_use = clock
+                        lines[line_addr] = clock
                         if l1i_mshrs:
                             # A hit returns now + l1_latency == l1_limit,
                             # so a merge (pending beyond that) always

@@ -22,6 +22,8 @@ general-purpose cross-thread register renaming.
 
 from __future__ import annotations
 
+import functools
+
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
@@ -51,9 +53,26 @@ page_fault:
 """
 
 
+@functools.cache
+def _assembled(source: str) -> tuple[list[Instruction], dict[str, int]]:
+    """Assemble a PAL image once per process (the sources are constants).
+
+    Only :func:`_image` reads the result, and it copies both containers.
+    The instructions themselves are shared, which is safe because
+    :class:`Instruction` is frozen.
+    """
+    return assemble(source, privileged=True)
+
+
+def _image(source: str) -> tuple[list[Instruction], dict[str, int]]:
+    """A fresh ``(instructions, local labels)`` copy of ``source``'s image."""
+    insts, labels = _assembled(source)
+    return list(insts), dict(labels)
+
+
 def build_dtlb_handler() -> tuple[list[Instruction], dict[str, int]]:
     """Assemble the handler; returns (instructions, local labels)."""
-    return assemble(DTLB_HANDLER_SOURCE, privileged=True)
+    return _image(DTLB_HANDLER_SOURCE)
 
 
 def handler_length() -> int:
@@ -99,7 +118,7 @@ emul_handler:
 
 def build_emul_handler() -> tuple[list[Instruction], dict[str, int]]:
     """Assemble the instruction-emulation handler."""
-    return assemble(EMUL_HANDLER_SOURCE, privileged=True)
+    return _image(EMUL_HANDLER_SOURCE)
 
 
 def emul_handler_length() -> int:
@@ -198,7 +217,7 @@ swint_handler:
 
 def build_itlb_handler() -> tuple[list[Instruction], dict[str, int]]:
     """Assemble the ITLB miss handler; returns (instructions, labels)."""
-    return assemble(ITLB_MISS_HANDLER_SOURCE, privileged=True)
+    return _image(ITLB_MISS_HANDLER_SOURCE)
 
 
 def itlb_handler_length() -> int:
@@ -208,7 +227,7 @@ def itlb_handler_length() -> int:
 
 def build_unaligned_handler() -> tuple[list[Instruction], dict[str, int]]:
     """Assemble the unaligned-access fixup handler."""
-    return assemble(UNALIGNED_HANDLER_SOURCE, privileged=True)
+    return _image(UNALIGNED_HANDLER_SOURCE)
 
 
 def unaligned_handler_length() -> int:
@@ -218,7 +237,7 @@ def unaligned_handler_length() -> int:
 
 def build_brev_handler() -> tuple[list[Instruction], dict[str, int]]:
     """Assemble the byte-swap emulation handler."""
-    return assemble(BREV_HANDLER_SOURCE, privileged=True)
+    return _image(BREV_HANDLER_SOURCE)
 
 
 def brev_handler_length() -> int:
@@ -228,7 +247,7 @@ def brev_handler_length() -> int:
 
 def build_swint_handler() -> tuple[list[Instruction], dict[str, int]]:
     """Assemble the software-interrupt service handler."""
-    return assemble(SWINT_HANDLER_SOURCE, privileged=True)
+    return _image(SWINT_HANDLER_SOURCE)
 
 
 def swint_handler_length() -> int:

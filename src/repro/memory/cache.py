@@ -16,6 +16,11 @@ Concurrency effects modelled:
   number of cycles per block transfer; transfers queue FIFO.
 * **LRU replacement** with a dirty bit; dirty victims charge a writeback
   transfer on the downstream bus.
+
+Lines are not objects: a set is a ``dict`` from line address to LRU
+stamp (the cache's use clock at the line's last touch) and the dirty
+bits are one ``set`` per cache, so prewarming thousands of L2 lines when
+a machine is built allocates nothing per line.
 """
 
 from __future__ import annotations
@@ -72,13 +77,6 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-@dataclass(slots=True)
-class _Line:
-    tag: int
-    last_use: int
-    dirty: bool = False
-
-
 class _DRAM:
     """Terminal level: a flat-latency memory."""
 
@@ -107,7 +105,13 @@ class _DRAM:
 
 
 class Cache:
-    """A set-associative, write-back, write-allocate timing cache."""
+    """A set-associative, write-back, write-allocate timing cache.
+
+    ``_sets[i]`` maps each resident line address of set ``i`` to its LRU
+    stamp; a hit restamps the line in place, so dict order stays install
+    order, which checkpoints preserve.  ``_dirty`` holds the resident
+    lines written since their fill; an evicted line always leaves it.
+    """
 
     def __init__(
         self,
@@ -139,8 +143,10 @@ class Cache:
         self.bus = bus_to_next
         self.mshr_count = mshr_count
         self.stats = CacheStats()
-        #: set index -> {tag: _Line}
-        self._sets: list[dict[int, _Line]] = [dict() for _ in range(self.num_sets)]
+        #: set index -> {line address: LRU stamp}, in install order.
+        self._sets: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
+        #: Line addresses of the resident dirty lines.
+        self._dirty: set[int] = set()
         #: line address -> fill completion cycle (outstanding misses).
         self._mshrs: dict[int, int] = {}
         self._use_clock = 0
@@ -154,12 +160,11 @@ class Cache:
         line_addr = addr >> self.line_shift
         # The full line address doubles as the tag key.
         lines = self._sets[line_addr & self.set_mask]
-        line = lines.get(line_addr)
-        if line is not None:
+        if line_addr in lines:
             stats.hits += 1
-            line.last_use = self._use_clock
+            lines[line_addr] = self._use_clock
             if is_write:
-                line.dirty = True
+                self._dirty.add(line_addr)
             ready = cycle + self.latency
             # The line may still be in flight (tags are installed when the
             # fill is requested): a hit under an outstanding miss merges
@@ -206,13 +211,16 @@ class Cache:
     def _install(self, set_idx: int, tag: int, fill_cycle: int, dirty: bool) -> None:
         lines = self._sets[set_idx]
         if len(lines) >= self.ways:
-            victim_tag = min(lines, key=lambda t: lines[t].last_use)
-            victim = lines.pop(victim_tag)
+            victim = min(lines, key=lines.__getitem__)
+            del lines[victim]
             self.stats.evictions += 1
-            if victim.dirty:
+            if victim in self._dirty:
+                self._dirty.remove(victim)
                 self.stats.writebacks += 1
                 self.bus.acquire(fill_cycle)
-        lines[tag] = _Line(tag=tag, last_use=self._use_clock, dirty=dirty)
+        lines[tag] = self._use_clock
+        if dirty:
+            self._dirty.add(tag)
 
     def _reap_mshrs(self, cycle: int) -> None:
         if self._mshrs:
@@ -224,28 +232,33 @@ class Cache:
         """Install every line of ``[addr, addr+size)`` without timing.
 
         Models starting from a checkpoint partway into execution (the
-        paper's methodology): hot data structures begin resident.  LRU
-        applies, so ranges beyond capacity keep only the tail.  Returns
-        the number of lines installed.
+        paper's methodology): hot data structures begin resident.  Each
+        line is one touch that advances the use clock.  A resident line
+        is restamped in place and keeps its dirty bit; a new line evicts
+        its set's least-recently-used line when the set is full (no
+        writeback, no statistics) and is installed clean.  So ranges
+        beyond capacity keep only the tail.  Returns the number of
+        touches, resident lines included.
         """
         first = addr >> self.line_shift
         last = (addr + max(size_bytes, 1) - 1) >> self.line_shift
+        sets, set_mask, ways, dirty = self._sets, self.set_mask, self.ways, self._dirty
+        clock = self._use_clock
         for line_addr in range(first, last + 1):
-            self._use_clock += 1
-            set_idx = line_addr & self.set_mask
-            lines = self._sets[set_idx]
-            if line_addr in lines:
-                lines[line_addr].last_use = self._use_clock
-            else:
-                if len(lines) >= self.ways:
-                    victim = min(lines, key=lambda t: lines[t].last_use)
-                    del lines[victim]
-                lines[line_addr] = _Line(tag=line_addr, last_use=self._use_clock)
+            clock += 1
+            lines = sets[line_addr & set_mask]
+            if line_addr not in lines and len(lines) >= ways:
+                victim = min(lines, key=lines.__getitem__)
+                del lines[victim]
+                dirty.discard(victim)
+            lines[line_addr] = clock
+        self._use_clock = clock
         return last - first + 1
 
     def reset(self) -> None:
         """Drop all contents and statistics (cold cache)."""
-        self._sets = [dict() for _ in range(self.num_sets)]
+        self._sets = [{} for _ in range(self.num_sets)]
+        self._dirty = set()
         self._mshrs.clear()
         self.stats = CacheStats()
         self._use_clock = 0
@@ -261,14 +274,15 @@ class Cache:
     def snapshot_state(self, ctx) -> dict:
         """Encode sets/MSHRs preserving dict insertion order.
 
-        LRU victims are unique by ``last_use`` so order is not strictly
-        architectural here, but preserving it keeps restored and
-        straight-through runs structurally identical.
+        Each line is ``[line address, LRU stamp, dirty]``.  LRU victims
+        are unique by stamp so order is not strictly architectural here,
+        but preserving it keeps restored and straight-through runs
+        structurally identical.
         """
+        dirty = self._dirty
         return {
             "sets": [
-                [[line.tag, line.last_use, line.dirty]
-                 for line in lines.values()]
+                [[tag, last_use, tag in dirty] for tag, last_use in lines.items()]
                 for lines in self._sets
             ],
             "mshrs": [[k, v] for k, v in self._mshrs.items()],
@@ -283,10 +297,11 @@ class Cache:
                 f"cache has {self.num_sets}"
             )
         self._sets = [
-            {tag: _Line(tag=tag, last_use=last_use, dirty=dirty)
-             for tag, last_use, dirty in lines}
-            for lines in state["sets"]
+            {tag: last_use for tag, last_use, _ in lines} for lines in state["sets"]
         ]
+        self._dirty = {
+            tag for lines in state["sets"] for tag, _, dirty in lines if dirty
+        }
         self._mshrs = {k: v for k, v in state["mshrs"]}
         self._use_clock = state["use_clock"]
         for f in dataclasses.fields(self.stats):

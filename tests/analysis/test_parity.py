@@ -42,6 +42,14 @@ class TestShippedTree:
         ref_only = {f.split(":", 1)[1] for f in model.ref.keys() - model.fused.keys()}
         assert ref_only == ledgered
 
+    def test_cache_line_state_is_covered_on_both_sides(self):
+        # Lines are LRU stamps in Cache._sets and dirty bits in
+        # Cache._dirty: both containers must carry a fact in each kernel.
+        model = extract_model()
+        for facts in (model.ref, model.fused):
+            assert {"mut:Cache._dirty[]", "mut:Cache._sets[]"} <= facts.keys()
+            assert not [f for f in facts.keys() if "_Line" in f]
+
     def test_selftest_catches_seeded_drift(self):
         ok, report = selftest()
         assert ok, report

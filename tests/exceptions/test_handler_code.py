@@ -4,7 +4,10 @@ The multithreaded mechanism relies on structural properties of the
 handler (Section 4.2 of the paper); these tests pin them down.
 """
 
+import pytest
+
 from repro.exceptions.handler_code import (
+    CAUSE_HANDLERS,
     build_dtlb_handler,
     handler_length,
     install_dtlb_handler,
@@ -64,3 +67,17 @@ class TestHandlerStructure:
         entry = install_dtlb_handler(program)
         assert program.pal_entries["dtlb_miss"] == entry
         assert program.pal_base == entry
+
+
+@pytest.mark.parametrize("cause", sorted(CAUSE_HANDLERS))
+def test_each_build_returns_fresh_containers(cause):
+    """Images are assembled once per process; every caller gets copies."""
+    build, length = CAUSE_HANDLERS[cause]
+    insts, labels = build()
+    again, again_labels = build()
+    assert (again, again_labels) == (insts, labels)
+    assert again is not insts and again_labels is not labels
+    expected = (list(insts), dict(labels), length())
+    insts.clear()
+    labels["bogus"] = 99
+    assert build() + (length(),) == expected

@@ -1,5 +1,7 @@
 """Unit tests for the cache timing model (Table 1 latencies)."""
 
+import random
+
 import pytest
 
 from repro.memory.cache import Bus, Cache, make_dram
@@ -123,3 +125,120 @@ class TestValidation:
         with pytest.raises(ValueError):
             Cache("t", size_bytes=960, ways=2, line_size=30, latency=1,
                   next_level=dram, bus_to_next=Bus(2))
+
+
+class _RefLine:
+    __slots__ = ("tag", "last_use", "dirty")
+
+    def __init__(self, tag, last_use, dirty=False):
+        self.tag, self.last_use, self.dirty = tag, last_use, dirty
+
+
+class _RefCache:
+    """Per-line LRU reference: one explicit object per resident line.
+
+    Follows the model's rules: every access and every prewarm touch
+    advances the clock; a hit restamps in place (a write sets the dirty
+    bit); a miss evicts the least stamp of a full set (a dirty victim is
+    a writeback), then appends the line; a prewarm touch restamps a
+    resident line, keeping its dirty bit, or evicts without a writeback
+    or any count and appends the line clean.
+    """
+
+    def __init__(self, num_sets, ways, line_shift):
+        self.num_sets, self.ways, self.line_shift = num_sets, ways, line_shift
+        self.reset()
+
+    def reset(self):
+        self.sets = [{} for _ in range(self.num_sets)]
+        self.clock = self.hits = self.misses = self.evictions = self.writebacks = 0
+
+    def _touch(self, line_addr, is_write, counted):
+        self.clock += 1
+        lines = self.sets[line_addr % self.num_sets]
+        line = lines.get(line_addr)
+        if line is not None:
+            self.hits += counted
+            line.last_use = self.clock
+            line.dirty = line.dirty or is_write
+            return
+        self.misses += counted
+        if len(lines) >= self.ways:
+            victim = min(lines.values(), key=lambda line: line.last_use)
+            del lines[victim.tag]
+            if counted:
+                self.evictions += 1
+                self.writebacks += victim.dirty
+        lines[line_addr] = _RefLine(line_addr, self.clock, is_write)
+
+    def access(self, addr, is_write):
+        self._touch(addr >> self.line_shift, is_write, counted=1)
+
+    def prewarm(self, addr, size_bytes):
+        first = addr >> self.line_shift
+        last = (addr + max(size_bytes, 1) - 1) >> self.line_shift
+        for line_addr in range(first, last + 1):
+            self._touch(line_addr, False, counted=0)
+
+    def state(self):
+        sets = [[[line.tag, line.last_use, line.dirty] for line in lines.values()]
+                for lines in self.sets]
+        return sets, self.clock, (self.hits, self.misses, self.evictions, self.writebacks)
+
+
+def _tiny_cache():
+    """4 sets x 2 ways of 32-byte lines."""
+    return Cache("t", size_bytes=256, ways=2, line_size=32, latency=1,
+                 next_level=make_dram(80), bus_to_next=Bus(2))
+
+
+def _state(cache):
+    snap = cache.snapshot_state(None)
+    s = cache.stats
+    return snap["sets"], snap["use_clock"], (s.hits, s.misses, s.evictions, s.writebacks)
+
+
+class TestPerLineReference:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_matches_per_line_lru_reference(self, seed):
+        rng = random.Random(seed)
+        cache = _tiny_cache()
+        ref = _RefCache(cache.num_sets, cache.ways, cache.line_shift)
+        span = 24 * 32  # 24 lines over 8 ways: constant conflict
+        writebacks = 0
+        for i in range(400):
+            op = rng.random()
+            if op < 0.35:
+                addr = rng.randrange(span)
+                # 10,000 cycles apart: every earlier fill has landed.
+                cache.access(addr, i * 10_000)
+                ref.access(addr, False)
+            elif op < 0.7:
+                addr = rng.randrange(span)
+                cache.access(addr, i * 10_000, is_write=True)
+                ref.access(addr, True)
+            elif op < 0.97:
+                # Overlapping, retouching and over-capacity ranges.
+                addr = rng.randrange(span)
+                size = rng.choice([0, 1, 8, 32, 64, 100, 300, 700])
+                assert cache.prewarm(addr, size) == (
+                    (addr + max(size, 1) - 1) // 32 - addr // 32 + 1
+                )
+                ref.prewarm(addr, size)
+            else:
+                cache.reset()
+                ref.reset()
+            assert _state(cache) == ref.state(), f"op {i}"
+            writebacks = max(writebacks, cache.stats.writebacks)
+        assert writebacks > 0
+
+    def test_reset_forgets_dirty_bits(self):
+        cache = _tiny_cache()
+        cache.access(0, 0, is_write=True)
+        cache.reset()
+        cache.access(0, 10_000)  # line 0 back, clean
+        cache.access(128, 20_000)  # lines 4 and 8 share set 0
+        cache.access(256, 30_000)  # evicts line 0
+        assert not cache.probe(0)
+        assert cache.stats.evictions == 1
+        assert cache.stats.writebacks == 0

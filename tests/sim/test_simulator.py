@@ -1,11 +1,19 @@
 """Tests for the Simulator driver and SimResult."""
 
+import gc
+
 import pytest
 
 from repro.memory.tlb import PerfectTLB, TLB
 from repro.sim.config import MachineConfig
 from repro.sim.simulator import Simulator
-from repro.workloads.suite import build_benchmark
+from repro.workloads.suite import BENCHMARK_NAMES, build_benchmark
+
+
+def _cache_module_objects() -> int:
+    return sum(
+        1 for o in gc.get_objects() if type(o).__module__ == "repro.memory.cache"
+    )
 
 
 class TestConstruction:
@@ -41,6 +49,22 @@ class TestConstruction:
     def test_empty_program_list_rejected(self):
         with pytest.raises(ValueError):
             Simulator([], MachineConfig())
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_construction_allocates_no_per_line_objects(self, name):
+        # The L2 prewarm installs 9-15k lines; a cache line must stay a
+        # dict entry, not an object (caches, buses, stats and DRAM only).
+        program = build_benchmark(name)
+        gc.collect()
+        gc.disable()
+        try:
+            before = _cache_module_objects()
+            sim = Simulator(program, MachineConfig())
+            created = _cache_module_objects() - before
+        finally:
+            gc.enable()
+        assert sim.hierarchy.l2.stats.accesses == 0  # prewarm is untimed
+        assert created <= 16
 
 
 class TestRuns:
