@@ -25,14 +25,10 @@ suite cannot see until they have already caused a silent regression):
   ``_SNAPSHOT_TRANSIENT`` tuple.  A field silently added to, say, the
   TLB but never serialized would make restore-then-run diverge from
   straight-through in ways no unit test of the TLB alone can catch.
-* ``layering-static-pass`` — the static kernel passes
-  (:mod:`repro.analysis.parity`, :mod:`repro.analysis.restart`) must
-  analyze the engine/pipeline layers as *source text*, never import
-  them: a linter that imports the code it lints cannot report on a tree
-  that fails to import.
-* ``parity-ledger-syntax`` — ``# parity:`` comments in ``engine/`` must
-  be well-formed ``elided(<fact>, <reason>)`` entries; a malformed one
-  is a dead suppression the parity pass would silently ignore.
+* ``layering-static-pass`` — the static kernel pass
+  (:mod:`repro.analysis.restart`) must analyze the engine/pipeline
+  layers as *source text*, never import them: a linter that imports
+  the code it lints cannot report on a tree that fails to import.
 
 Suppression: append ``# lint: ok(rule)`` to the offending line.
 """
@@ -72,7 +68,8 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
         {"isa", "memory", "branch", "pipeline", "exceptions", "sim", "workloads"}
     ),
     # engine is a name -> core-class registry plus the fused SMTCore
-    # subclass, so it needs only the layers that subclass touches.
+    # subclass and the generator that builds its loop from the
+    # reference stages, so it needs only the layers they read.
     # Everything that runs cells (sim, faults, scenarios) reaches it
     # through lazy imports of the registry (resolve_engine / core_class);
     # an engine that grows its own cell driver fails this row.
@@ -190,17 +187,12 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
 }
 
 #: Per-module forbidden packages, stricter than :data:`ALLOWED_IMPORTS`:
-#: the static kernel passes read these layers as source text (AST) and
+#: the static kernel pass reads these layers as source text (AST) and
 #: must never import them at runtime, even though the ``analysis``
 #: package as a whole may.
 MODULE_FORBIDDEN: dict[str, frozenset[str]] = {
-    "analysis/parity.py": frozenset({"engine", "pipeline"}),
     "analysis/restart.py": frozenset({"engine", "pipeline"}),
 }
-
-#: ``# parity:`` comments (the elision ledger in engine/) must parse.
-_LEDGER_COMMENT_RE = re.compile(r"#\s*parity:")
-_LEDGER_OK_RE = re.compile(r"#\s*parity:\s*elided\(\s*[^,()\s]+\s*,\s*[^()]+\)")
 
 #: Classes (by repo-relative module path) that must declare __slots__
 #: because they are allocated in the simulator's hot loop (see
@@ -323,7 +315,7 @@ class _ModuleChecker(ast.NodeVisitor):
                 "layering-static-pass",
                 node.lineno,
                 f"{self.rel.as_posix()} must not import repro.{target}: "
-                "the static kernel passes analyze that layer as source "
+                "the static kernel pass analyzes that layer as source "
                 "text, never at runtime",
             )
             return
@@ -517,23 +509,6 @@ class _ModuleChecker(ast.NodeVisitor):
                 "_SNAPSHOT_TRANSIENT; restore would silently lose it",
             )
 
-    # -- parity elision ledger syntax ----------------------------------
-    def check_ledger_comments(self, source: str) -> None:
-        """Malformed ``# parity:`` comments in engine/ are dead ledger
-        entries the parity pass would silently skip."""
-        if self.package != "engine":
-            return
-        for line_no, line in enumerate(source.splitlines(), start=1):
-            if _LEDGER_COMMENT_RE.search(line) and not _LEDGER_OK_RE.search(
-                line
-            ):
-                self._emit(
-                    "parity-ledger-syntax",
-                    line_no,
-                    "malformed parity ledger comment; expected "
-                    "'# parity: elided(<fact>, <reason>)'",
-                )
-
     # -- nondeterministic set iteration --------------------------------
     @staticmethod
     def _is_unordered_set(expr: ast.expr) -> str | None:
@@ -596,7 +571,6 @@ def check_file(path: Path, rel: Path) -> list[Diagnostic]:
         ]
     checker = _ModuleChecker(rel, source)
     checker.visit(tree)
-    checker.check_ledger_comments(source)
     return checker.diagnostics
 
 

@@ -2,8 +2,7 @@
 
 With no subcommand it lints the shipped tree: every suite benchmark
 program, both PAL handler images, every assembly source embedded in
-``examples/``, the architecture rules over ``src/repro``, the
-kernel-parity pass over the reference/fused engine pair, and the
+``examples/``, the architecture rules over ``src/repro``, and the
 restartability pass over every mechanism's handler images.  Exit
 status is non-zero iff any error-severity finding is reported (or any
 finding at all under ``--strict``).
@@ -14,8 +13,6 @@ Subcommands narrow the run::
     repro-lint guest loop.s --priv   # lint an assembly file
     repro-lint guest compress        # lint one suite benchmark
     repro-lint arch                  # architecture lint only
-    repro-lint parity                # reference-vs-fused kernel drift
-    repro-lint parity --selftest     # seeded-drift oracle check
     repro-lint restart               # handler restartability
     repro-lint restart handler.s     # ... over your own PAL image
     repro-lint --format json         # machine-readable findings
@@ -361,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-lint",
         parents=[common],
         description="Static analysis for the simulator: guest-program "
-        "lint, architecture lint, kernel parity, and handler "
+        "lint, architecture lint, and handler "
         "restartability (see docs/ANALYSIS.md).",
     )
     sub = parser.add_subparsers(dest="command")
@@ -395,18 +392,6 @@ def main(argv: list[str] | None = None) -> int:
         help="package directory to lint (default: the installed repro)",
     )
 
-    parity = sub.add_parser(
-        "parity",
-        parents=[common],
-        help="reference-vs-fused kernel semantic-drift lint",
-    )
-    parity.add_argument(
-        "--selftest",
-        action="store_true",
-        help="seed a drift (delete one fused mutation fact) and fail "
-        "unless the pass flags it",
-    )
-
     restart = sub.add_parser(
         "restart",
         parents=[common],
@@ -434,24 +419,14 @@ def main(argv: list[str] | None = None) -> int:
             diagnostics = _lint_shipped_guests()
     elif args.command == "arch":
         diagnostics = check_tree(args.root or _package_root())
-    elif args.command == "parity":
-        from repro.analysis.parity import run_parity, selftest
-
-        if args.selftest:
-            ok, report = selftest()
-            print(f"repro-lint parity --selftest: {report}")
-            return 0 if ok else 1
-        diagnostics = run_parity()
     elif args.command == "restart":
         diagnostics = _lint_restart_targets(args.targets)
     else:
-        from repro.analysis.parity import run_parity
         from repro.analysis.restart import lint_mechanism_handlers
 
         diagnostics = (
             _lint_shipped_guests()
             + check_tree(_package_root())
-            + run_parity()
             + lint_mechanism_handlers()
         )
 

@@ -5,8 +5,8 @@ The engine registry maps a kernel name to the ``SMTCore`` class a
 one simulator either way (:func:`repro.sim.parallel.run_cell`):
 
 ``fused``
-    :class:`~repro.engine.core.FusedSMTCore`, whose dispatch-fused
-    cycle loop is a line-for-line transcription of the reference stages;
+    :class:`~repro.engine.core.FusedSMTCore`, whose cycle loop is
+    generated from the reference stages (:mod:`repro.engine.generate`);
     bit-identical results.  The default for every cell run through
     ``run_cell`` (the experiments, the pool runner, the sweep service).
     Its speed relative to the reference kernel is the

@@ -70,6 +70,11 @@ _FAR_FUTURE = 1 << 60
 _EA_ALIGN_MASK = ((1 << 64) - 1) & ~7
 
 
+def _icount_key(thread: ThreadContext) -> tuple[int, int]:
+    """ICOUNT chooser order: fewest in-flight uops first, then tid."""
+    return (len(thread.rob), thread.tid)
+
+
 class SMTCore:
     """The simulated simultaneous-multithreading core."""
 
@@ -226,10 +231,19 @@ class SMTCore:
             self._mech_tick(now)
         self._retire(now)
         self._execute(now)
-        self._decode(now)
-        self._fetch(now)
+        # Decode and fetch share one thread order; only a squash or an
+        # overfetch discard in decode can move thread states or ROB
+        # depths, and each bumps its stats counter.
+        stats = self.stats
+        squashed = stats.squashed
+        discarded = stats.overfetch_discarded
+        prio = self._fetch_priority()
+        self._decode(now, prio)
+        if stats.squashed != squashed or stats.overfetch_discarded != discarded:
+            prio = self._fetch_priority()
+        self._fetch(now, prio)
         self.cycle += 1
-        self.stats.cycles = self.cycle
+        stats.cycles = self.cycle
 
     def run(self, user_insts: int, max_cycles: int = 10_000_000) -> None:
         """Run until every application thread retires ``user_insts``
@@ -262,27 +276,29 @@ class SMTCore:
         by the quietness invariant documented in :meth:`_next_event`.
         Note the seed semantics are preserved exactly: targets are only
         checked *before* a step, so targets reached exactly when the
-        clock runs out still report False.
-
-        This method is the reference root of the kernel-parity pass
-        (``repro-lint parity``): every state mutation and hook call
-        reachable from here must also appear in the fused kernel
-        (``engine/core.py:_run_to_fused``) or be declared in its
-        elision ledger.  Edits that add mutations or hooks here will
-        fail the lint until the fused kernel follows.
+        clock runs out still report False.  The watch is re-checked only
+        when a retirement counter moved: ``halted``, ``retired_user``
+        and a watched thread's state change only in :meth:`_do_retire`,
+        which always bumps one.  :mod:`repro.engine.generate` builds the
+        fused kernel by inlining this method and the stages it reaches.
         """
         fast_forward = self.config.fast_forward
+        stats = self.stats
         step = self.step
+        last_retired = -1
         while self.cycle < stop_cycle:
-            for thread, target in watch:
-                if (
-                    not thread.halted
-                    and thread.retired_user < target
-                    and thread.state is ThreadState.NORMAL
-                ):
-                    break
-            else:
-                return True
+            retired = stats.retired_user + stats.retired_handler
+            if retired != last_retired:
+                last_retired = retired
+                for thread, target in watch:
+                    if (
+                        not thread.halted
+                        and thread.retired_user < target
+                        and thread.state is ThreadState.NORMAL
+                    ):
+                        break
+                else:
+                    return True
             step()
             if fast_forward and not self._activity:
                 # Quiet cycle: no machine state changed, so nothing can
@@ -292,7 +308,7 @@ class SMTCore:
                 nxt = self._next_event(self.cycle - 1)
                 if nxt > self.cycle:
                     self.cycle = min(nxt, stop_cycle)
-                    self.stats.cycles = self.cycle
+                    stats.cycles = self.cycle
         return False
 
     def _next_event(self, prev: int) -> int:
@@ -361,7 +377,7 @@ class SMTCore:
                 handlers.append(t)
         if self._icount_chooser:
             if len(apps) > 1:
-                apps.sort(key=lambda t: (len(t.rob), t.tid))
+                apps.sort(key=_icount_key)
         else:
             offset = self.cycle % max(1, len(apps)) if apps else 0
             apps = apps[offset:] + apps[:offset]
@@ -371,11 +387,11 @@ class SMTCore:
             return apps + handlers
         return handlers + apps
 
-    def _fetch(self, now: int) -> None:
+    def _fetch(self, now: int, prio: list[ThreadContext]) -> None:
         config = self.config
         budget = config.width
         free_handler_fetch = config.limits.no_fetch_bandwidth
-        for thread in self._fetch_priority():
+        for thread in prio:
             handler_free = free_handler_fetch and thread.is_exception_thread
             if budget <= 0 and not handler_free:
                 continue
@@ -483,12 +499,7 @@ class SMTCore:
     # ------------------------------------------------------------------
     # Decode / rename / window insertion.
     # ------------------------------------------------------------------
-    def _decode(self, now: int) -> None:
-        for thread in self.threads:
-            if thread.fetch_buffer:
-                break
-        else:
-            return
+    def _decode(self, now: int, prio: list[ThreadContext]) -> None:
         config = self.config
         budget = config.width
         limits = config.limits
@@ -497,7 +508,7 @@ class SMTCore:
         sched_delay = config.decode_latency + config.post_insert_delay
         window = self.window
         stats = self.stats
-        for thread in self._fetch_priority():
+        for thread in prio:
             buf = thread.fetch_buffer
             # Per-thread invariants: decoding this thread cannot change its
             # own exception linkage (admission squashes hit the *master*
@@ -775,8 +786,11 @@ class SMTCore:
                 continue  # squashed or completed by a mid-loop event
             if uop.waiting_fill is not None:
                 continue  # parked: the mechanism wakes it via wake_uop
-            if uop.min_sched_cycle > now or not uop.src_ready(now):
+            if uop.min_sched_cycle > now:
                 # An asynchronous re-raise re-entered it early: re-time.
+                self._schedule_uop(uop)
+                continue
+            if not uop.src_ready(now):
                 self._schedule_uop(uop)
                 continue
             inst = uop.inst
@@ -883,7 +897,14 @@ class SMTCore:
         """
         inst = uop.inst
         thread = self.threads[uop.thread_id]
-        a, b = uop.src_values()
+        p = uop.src_a_uop
+        a = p.value if p is not None else uop.src_a_value
+        if a is None:
+            a = 0
+        p = uop.src_b_uop
+        b = p.value if p is not None else uop.src_b_value
+        if b is None:
+            b = 0
 
         if inst.is_mem:
             return self._issue_mem(uop, thread, inst, a, b, now)

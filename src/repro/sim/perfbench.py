@@ -2,8 +2,8 @@
 
 Measures simulated user-instructions per wall-clock second on the
 8-benchmark suite, once per exception mechanism, for both cycle kernels
-(``reference`` and ``fused``) interleaved in one process, and writes the
-one engine perf ledger, ``BENCH_engine.json`` (see
+(``reference`` and ``fused``) interleaved per cell in one process, and
+writes the one engine perf ledger, ``BENCH_engine.json`` (see
 ``benchmarks/perf/README.md`` for the protocol and the committed
 numbers).  The ledger stamps host, Python, commit and protocol.
 
@@ -11,7 +11,7 @@ The protocol is deliberately modest -- short runs, best-of-N timing --
 so it finishes in a couple of minutes on one core while still being
 dominated (>95%) by the cycle loop rather than setup.  Construction
 (program build, page-table setup, cache prewarm) is excluded from the
-timed region, and reps are isolated (fresh simulators, collected heap)
+timed region, and runs are isolated (fresh simulators, collected heap)
 so best-of-N compares like against like.
 
 Two gates, usable together: ``--baseline FILE --max-drop F`` fails when
@@ -55,35 +55,43 @@ BASELINE_IPS = {
 }
 
 
-def measure_mechanism(mechanism: str, reps: int, core_cls=None) -> float:
-    """Best-of-``reps`` suite throughput (user instrs/sec) for one
-    mechanism under a kernel's core class (``None``: reference).
+def measure_cell(name: str, mechanism: str, core_cls=None) -> tuple[int, float]:
+    """``(user instructions, run seconds)`` of one suite benchmark under
+    one mechanism and a kernel's core class (``None``: reference),
+    built fresh from a collected heap; construction is outside the
+    timed region."""
+    gc.collect()
+    config = MachineConfig(mechanism=mechanism, idle_threads=1)
+    sim = Simulator([BENCHMARKS[name].build(0)], config, core_cls=core_cls)
+    start = time.perf_counter()
+    result = sim.run(
+        user_insts=USER_INSTS, max_cycles=MAX_CYCLES, warmup_insts=WARMUP_INSTS
+    )
+    return result.retired_user, time.perf_counter() - start
 
-    Reps are isolated: every rep builds fresh programs and simulators,
-    and starts from a collected heap -- without the collection, garbage
-    left by rep N is collector work billed to rep N+1, so best-of-N
-    would quietly favour whichever rep ran first (and, with two kernels
-    interleaved, whichever kernel ran first).
+
+def measure_mechanism(mechanism: str, reps: int) -> dict[str, float]:
+    """Best-of-``reps`` suite throughput (user instrs/sec) of one
+    mechanism, per kernel.
+
+    Each benchmark runs on both kernels back to back, alternating which
+    goes first, so drift on the host lands on both kernels alike.  Every
+    run starts from a collected heap -- otherwise garbage left by one
+    run is collector work billed to the next, and best-of-N would
+    quietly favour whichever kernel ran first.
     """
-    best = 0.0
-    for _ in range(reps):
+    best = dict.fromkeys(ENGINES, 0.0)
+    for rep in range(reps):
         gc.collect()
-        insts = 0
-        seconds = 0.0
-        for name in BENCHMARKS:
-            config = MachineConfig(mechanism=mechanism, idle_threads=1)
-            sim = Simulator(
-                [BENCHMARKS[name].build(0)], config, core_cls=core_cls
-            )
-            start = time.perf_counter()
-            result = sim.run(
-                user_insts=USER_INSTS,
-                max_cycles=MAX_CYCLES,
-                warmup_insts=WARMUP_INSTS,
-            )
-            seconds += time.perf_counter() - start
-            insts += result.retired_user
-        best = max(best, insts / seconds)
+        insts = dict.fromkeys(ENGINES, 0)
+        seconds = dict.fromkeys(ENGINES, 0.0)
+        for i, name in enumerate(BENCHMARKS):
+            for kernel in ENGINES[::-1] if (rep * len(BENCHMARKS) + i) % 2 else ENGINES:
+                n, s = measure_cell(name, mechanism, core_class(kernel))
+                insts[kernel] += n
+                seconds[kernel] += s
+        for kernel in ENGINES:
+            best[kernel] = max(best[kernel], insts[kernel] / seconds[kernel])
     return best
 
 
@@ -132,25 +140,20 @@ def _stamp(reps: int) -> dict:
             "warmup_insts": WARMUP_INSTS,
             "reps_best_of": reps,
             "kernels": list(ENGINES),
-            "order": "per mechanism, reference then fused, one process",
+            "order": "per benchmark and mechanism, both kernels back to "
+            "back, alternating which goes first, one process",
         },
     }
 
 
 def run_compare(reps: int = 3) -> dict:
-    """Measure both kernels interleaved and build the ledger.
-
-    Per mechanism, the reference suite pass and the fused suite pass run
-    back to back (same process, same core, reps isolated), so the
-    speedups compare equal-resource measurements rather than two runs
-    taken under different machine load.
-    """
+    """Measure both kernels interleaved per cell and build the ledger,
+    so the speedups compare equal-resource measurements rather than
+    two runs taken under different machine load."""
     per: dict[str, dict[str, float]] = {kernel: {} for kernel in ENGINES}
     for mechanism in MECHANISMS:
-        for kernel in ENGINES:
-            per[kernel][mechanism] = round(
-                measure_mechanism(mechanism, reps, core_class(kernel)), 1
-            )
+        for kernel, ips in measure_mechanism(mechanism, reps).items():
+            per[kernel][mechanism] = round(ips, 1)
         ref, fused = per["reference"][mechanism], per["fused"][mechanism]
         print(
             f"{mechanism:<14}reference {ref:>10.1f}  "

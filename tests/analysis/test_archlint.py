@@ -90,19 +90,12 @@ class TestShippedTree:
 
 
 class TestStaticPassLayering:
-    """analysis/parity.py and analysis/restart.py must stay AST-only."""
+    """analysis/restart.py must stay AST-only."""
 
     def _lint(self, tmp_path, rel, source):
         path = tmp_path / Path(rel).name
         path.write_text(source)
         return check_file(path, Path(rel))
-
-    def test_parity_importing_engine_is_flagged(self, tmp_path):
-        diags = self._lint(
-            tmp_path, "analysis/parity.py", "from repro.engine import core\n"
-        )
-        assert [d.code for d in diags] == ["layering-static-pass"]
-        assert diags[0].is_error
 
     def test_restart_importing_pipeline_is_flagged(self, tmp_path):
         diags = self._lint(
@@ -132,28 +125,3 @@ class TestEngineLayering:
         diags = check_file(path, Path("engine/driver.py"))
         assert [d.code for d in diags] == ["layering"]
         assert f"repro.{package}" in diags[0].message
-
-
-class TestLedgerSyntaxRule:
-    def _lint(self, tmp_path, source, rel="engine/core.py"):
-        path = tmp_path / Path(rel).name
-        path.write_text(source)
-        return check_file(path, Path(rel))
-
-    def test_wellformed_ledger_entry_passes(self, tmp_path):
-        diags = self._lint(
-            tmp_path, "# parity: elided(listeners.fetch, fused path bails)\n"
-        )
-        assert diags == []
-
-    def test_malformed_ledger_entry_is_flagged(self, tmp_path):
-        diags = self._lint(tmp_path, "# parity: elided listeners.fetch\n")
-        assert [d.code for d in diags] == ["parity-ledger-syntax"]
-
-    def test_rule_scoped_to_engine_package(self, tmp_path):
-        # parity.py's own docstring quotes ledger examples; the syntax
-        # rule must not police packages other than engine/.
-        diags = self._lint(
-            tmp_path, "# parity: elided nonsense\n", rel="pipeline/core.py"
-        )
-        assert diags == []

@@ -50,14 +50,14 @@ def _digest(spec, engine):
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
-def test_batch_of_one_matches_reference(mechanism):
+def test_fused_cell_matches_reference(mechanism):
     spec = _spec(mechanism)
     _assert_same_cell(spec)
     assert _digest(spec, "fused") == _digest(spec, "reference")
 
 
 @pytest.mark.parametrize("workload", ["gcc", "murphi", ("compress", "gcc")])
-def test_batch_of_one_matches_reference_across_workloads(workload):
+def test_fused_cell_matches_reference_across_workloads(workload):
     _assert_same_cell(_spec("multithreaded", workload=workload))
 
 

@@ -10,20 +10,28 @@ import repro.sim.perfbench as perfbench
 from repro.sim.config import MECHANISMS
 
 
-def _fake_measure(values):
-    def measure(mechanism, reps, core_cls=None):
+def _fake_cell(values, calls):
+    def measure(name, mechanism, core_cls=None):
         # Reference (core_cls None) measures half as fast as the fused
         # kernel in this canned world.
-        base = values[mechanism]
-        return base if core_cls is None else base * 2.0
+        calls.append((name, mechanism, core_cls))
+        return values[mechanism], 1.0 if core_cls is None else 0.5
 
     return measure
 
 
 @pytest.fixture
-def canned(monkeypatch):
+def calls():
+    return []
+
+
+@pytest.fixture
+def canned(monkeypatch, calls):
     values = {mech: 10_000.0 + i for i, mech in enumerate(MECHANISMS)}
-    monkeypatch.setattr(perfbench, "measure_mechanism", _fake_measure(values))
+    monkeypatch.setattr(perfbench, "measure_cell", _fake_cell(values, calls))
+    # No heap to settle between canned runs; a real collection per rep
+    # would only slow these tests down.
+    monkeypatch.setattr(perfbench.gc, "collect", lambda: 0)
     return values
 
 
@@ -43,6 +51,17 @@ class TestRunCompare:
         assert fused["aggregate"] == pytest.approx(2 * ref["aggregate"])
         assert report["fused_speedup"]["aggregate"] == pytest.approx(2.0)
         assert report["baseline"]["instrs_per_sec"] == perfbench.BASELINE_IPS
+
+    def test_each_cell_runs_both_kernels_back_to_back(self, canned, calls):
+        perfbench.run_compare(reps=2)
+        pairs = [calls[i:i + 2] for i in range(0, len(calls), 2)]
+        assert len(pairs) == 2 * len(MECHANISMS) * len(perfbench.BENCHMARKS)
+        for (name, mech, first), (name2, mech2, second) in pairs:
+            assert (name, mech) == (name2, mech2)
+            assert {first, second} == {None, perfbench.core_class("fused")}
+        # Which kernel goes first alternates from one cell to the next.
+        leaders = [pair[0][2] for pair in pairs]
+        assert all(a is not b for a, b in zip(leaders, leaders[1:]))
 
     def test_run_records_engine_in_protocol(self, canned):
         report = perfbench.run_compare(reps=1)
