@@ -29,7 +29,7 @@ from repro.checkpoint.state import (
     restore_simulator_checkpoint,
     save_simulator_checkpoint,
 )
-from repro.sim.config import MachineConfig
+from repro.sim.config import MachineConfig, config_token
 
 
 def checkpoint_dir() -> Path:
@@ -71,9 +71,7 @@ def warm_token(
     """Stable identity of a warm state, shared by every mechanism."""
     from repro.sim.parallel import engine_fingerprint
 
-    token = repr(
-        (workload, warmup_insts, dataclasses.asdict(warm_config(config)))
-    )
+    token = repr((workload, warmup_insts, config_token(warm_config(config))))
     return hashlib.sha256(
         f"{engine_fingerprint()}|{token}".encode()
     ).hexdigest()[:40]

@@ -44,8 +44,9 @@ _REQUIRED_KEYS = (
 
 def config_hash(config: "MachineConfig") -> str:
     """Short stable digest of a machine configuration."""
-    token = repr(sorted(dataclasses.asdict(config).items()))
-    return hashlib.sha256(token.encode()).hexdigest()[:16]
+    from repro.sim.config import config_token
+
+    return hashlib.sha256(config_token(config).encode()).hexdigest()[:16]
 
 
 def build_manifest(

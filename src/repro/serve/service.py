@@ -7,7 +7,8 @@ cell list), expands and validates them into
 through three layers, cheapest first:
 
 1. the **content-addressed store** (:mod:`repro.serve.store`) -- a warm
-   cell costs one pickle read;
+   cell costs one pickle read, and a request reads all its cells in one
+   call off the event loop;
 2. the **in-flight table** -- a cell some other request is already
    simulating is awaited, not re-run, so N clients asking for the same
    cell cost one simulation (the ``inflight_hits`` counter);
@@ -420,13 +421,19 @@ class SweepService:
         self.requests += 1
         self.cells_requested += len(specs)
 
+        keys = [self.store.key(spec) for spec in specs]
+        # One executor call reads every entry of the request: a hot
+        # sweep pays one thread round trip, not one per cell.
+        hits = await loop.run_in_executor(
+            None, lambda: [self.store.get(spec) for spec in specs]
+        )
         ready: list[tuple[int, CellOutcome]] = []
         waiting: list[tuple[int, CellSpec, str, bool, asyncio.Future]] = []
         to_start: list[tuple[str, CellSpec]] = []
         to_forward: list[tuple[str, CellSpec, str]] = []
-        for index, spec in enumerate(specs):
-            key = self.store.key(spec)
-            hit = await loop.run_in_executor(None, self.store.get, spec)
+        # No await from here on: misses are registered in flight in the
+        # same pass that sorts them from the hits.
+        for index, (spec, key, hit) in enumerate(zip(specs, keys, hits)):
             if hit is not None:
                 ready.append(
                     (index, CellOutcome(spec, hit, key, cached=True))

@@ -11,12 +11,13 @@ and the source fingerprint), but with
   ``REPRO_SERVE_CACHE_ENTRIES`` / ``REPRO_SERVE_CACHE_MB`` knobs) --
   enforced by least-recently-used eviction after every publish;
 * **counters** (hits, misses, puts, evictions, in-flight dedupes)
-  surfaced on the service's ``/stats`` endpoint and embedded in every
-  manifest the store writes (the ``cache`` block,
+  surfaced on the service's ``/stats`` endpoint (with the occupancy,
+  ``entries`` and ``bytes``) and embedded in every manifest the store
+  writes (the ``cache`` block,
   :func:`repro.obs.manifest.build_manifest`);
-* cross-process LRU: every hit touches the entry's mtime, so a store
-  directory shared by several service processes still evicts globally
-  least-recently-used cells first;
+* recency kept in memory: a hit moves the entry to most-recently-used
+  in this process and writes nothing to disk, and files another
+  process wrote are ordered by their write time, oldest first;
 * reads by content address (:meth:`ContentStore.read`), which is how a
   job's results stream finds the cells its journal names.
 
@@ -92,7 +93,8 @@ class ContentStore(ResultCache):
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = StoreStats()
-        #: Pickle names this process has touched, least recent first.
+        #: Pickle names this process has read or written, least
+        #: recent first.
         self._lru: OrderedDict[str, None] = OrderedDict()
         #: Cluster identity block embedded in manifests (node id plus
         #: owned/forwarded counters); set by the service in cluster
@@ -118,7 +120,7 @@ class ContentStore(ResultCache):
         if not self.enabled():
             return
         # Counted before the write so the manifest published inside it
-        # (which embeds stats_dict) already reflects this put.
+        # (which embeds the counters) already reflects this put.
         self.stats.puts += 1
         super().put(spec, result)
         self._touch(self._path(spec).name)
@@ -135,61 +137,50 @@ class ContentStore(ResultCache):
 
     # ------------------------------------------------------------------
     def _touch(self, name: str) -> None:
-        """Move ``name`` to most-recently-used, in memory and on disk."""
+        """Move ``name`` to most-recently-used, in memory only."""
         self._lru.pop(name, None)
         self._lru[name] = None
+
+    def _scan(self) -> list[tuple[Path, os.stat_result]]:
+        """Every published pickle with its ``stat``, from one listing."""
+        found = []
         try:
-            os.utime(self.directory / name)
+            with os.scandir(self.directory) as listing:
+                for entry in listing:
+                    try:
+                        if entry.name.endswith(".pkl") and entry.is_file():
+                            found.append((Path(entry.path), entry.stat()))
+                    except OSError:
+                        continue  # evicted by another process meanwhile
         except OSError:
-            pass  # entry may have been evicted by another process
+            pass
+        return found
 
     def entries(self) -> list[Path]:
         """Every published pickle currently in the store."""
-        try:
-            return [p for p in self.directory.glob("*.pkl") if p.is_file()]
-        except OSError:
-            return []
-
-    def total_bytes(self) -> int:
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def _eviction_order(self) -> list[Path]:
-        """Victims first: entries this process never touched (by mtime,
-        oldest first -- other processes' cold cells), then our own in
-        least-recently-used order."""
-        ranks = {name: idx for idx, name in enumerate(self._lru)}
-        known: list[tuple[int, Path]] = []
-        unknown: list[tuple[float, Path]] = []
-        for path in self.entries():
-            rank = ranks.get(path.name)
-            if rank is not None:
-                known.append((rank, path))
-            else:
-                try:
-                    unknown.append((path.stat().st_mtime, path))
-                except OSError:
-                    continue
-        unknown.sort(key=lambda pair: pair[0])
-        known.sort(key=lambda pair: pair[0])
-        return [path for _, path in unknown] + [path for _, path in known]
-
-    def _over_budget(self) -> bool:
-        if self.max_entries and len(self.entries()) > self.max_entries:
-            return True
-        return bool(self.max_bytes) and self.total_bytes() > self.max_bytes
+        return [path for path, _ in self._scan()]
 
     def _evict(self) -> None:
+        """Unlink entries until the store is within its bounds: first
+        those this process never read or wrote (other processes' cells,
+        oldest write first), then its own, least recently used first."""
         if not self.max_entries and not self.max_bytes:
             return
-        order = self._eviction_order()
-        while order and self._over_budget():
-            victim = order.pop(0)
+        found = self._scan()
+        count = len(found)
+        size = sum(info.st_size for _, info in found)
+        # list() copies in one step: other threads' hits may touch it.
+        ranks = {name: idx for idx, name in enumerate(list(self._lru))}
+
+        def victim_order(item: tuple[Path, os.stat_result]) -> tuple:
+            rank = ranks.get(item[0].name)
+            return (0, item[1].st_mtime) if rank is None else (1, rank)
+
+        for victim, info in sorted(found, key=victim_order):
+            if (not self.max_entries or count <= self.max_entries) and (
+                not self.max_bytes or size <= self.max_bytes
+            ):
+                break
             try:
                 victim.unlink()
             except OSError:
@@ -198,23 +189,28 @@ class ContentStore(ResultCache):
                 victim.with_suffix(".json").unlink()
             except OSError:
                 pass
+            count -= 1
+            size -= info.st_size
             self._lru.pop(victim.name, None)
             self.stats.evictions += 1
 
     # ------------------------------------------------------------------
     def stats_dict(self) -> dict[str, int]:
-        """Counters plus current occupancy, for ``/stats`` and
-        manifests (all values are non-negative integers by schema)."""
+        """Counters plus current occupancy, for ``/stats`` (all values
+        are non-negative integers by schema)."""
+        found = self._scan()
         return {
             **self.stats.as_dict(),
-            "entries": len(self.entries()),
-            "bytes": self.total_bytes(),
+            "entries": len(found),
+            "bytes": sum(info.st_size for _, info in found),
             "max_entries": self.max_entries,
             "max_bytes": self.max_bytes,
         }
 
     def _manifest_cache_stats(self) -> dict | None:
-        return self.stats_dict()
+        """The counters alone: occupancy would cost every put a
+        directory walk."""
+        return self.stats.as_dict()
 
     def _manifest_node_info(self) -> dict | None:
         return self.node_info() if self.node_info is not None else None

@@ -21,7 +21,7 @@ from repro.exceptions.limits import LimitKnobs
 from repro.isa.instructions import FU_GROUPS, FUClass
 from repro.memory.hierarchy import HierarchyConfig
 
-__all__ = ["FU_GROUPS", "FUPool", "MachineConfig", "MECHANISMS"]
+__all__ = ["FU_GROUPS", "FUPool", "MachineConfig", "MECHANISMS", "config_token"]
 
 #: The exception-handling mechanisms a machine can be configured with.
 MECHANISMS = ("perfect", "traditional", "multithreaded", "hardware", "quickstart")
@@ -199,3 +199,15 @@ class MachineConfig:
     def fu_group(op_fu: FUClass) -> str:
         """Pool group an FU class issues to."""
         return FU_GROUPS[op_fu][0]
+
+
+def config_token(config: MachineConfig) -> str:
+    """The one string every content address hashes a configuration by
+    (cell keys, warm-checkpoint tokens, manifest config hashes).
+
+    It is the dataclass ``repr``: every field of the config and of its
+    nested ``FUPool``, ``HierarchyConfig`` and ``LimitKnobs`` (so no
+    field may carry ``repr=False``), the same string on every supported
+    Python, and without the deep copy ``dataclasses.asdict`` makes.
+    """
+    return repr(config)

@@ -88,7 +88,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.sim.config import MachineConfig
+from repro.sim.config import MachineConfig, config_token
 from repro.sim.simulator import SimResult, Simulator
 from repro.workloads.suite import build_workload
 
@@ -134,7 +134,7 @@ class CellSpec:
         return repr(
             (
                 self.workload,
-                dataclasses.asdict(self.config),
+                config_token(self.config),
                 self.user_insts,
                 self.warmup_insts,
                 self.max_cycles,
@@ -320,6 +320,8 @@ class ResultCache:
                 Path.home() / ".cache" / "repro-sim"
             )
         self.directory = Path(directory)
+        #: Dead writers' temp files are pruned once, at the first put.
+        self._tmps_pruned = False
 
     @staticmethod
     def enabled() -> bool:
@@ -350,7 +352,8 @@ class ResultCache:
         renamed into place, so a worker killed mid-write (or mid-crash
         of the whole machine) can never leave a truncated pickle under
         the final name -- :meth:`get` would deserialize garbage as a
-        result.  Temp files orphaned by dead writers are pruned here.
+        result.  Temp files orphaned by dead writers are pruned at this
+        instance's first put, so later puts list no directory.
 
         The manifest is strictly an audit trail: once the pickle has
         been renamed into place the cell *is* published, so no manifest
@@ -362,7 +365,9 @@ class ResultCache:
             return
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            self._prune_stale_tmps()
+            if not self._tmps_pruned:
+                self._tmps_pruned = True
+                self._prune_stale_tmps()
             path = self._path(spec)
             tmp = path.with_suffix(f".tmp.{os.getpid()}")
             with tmp.open("wb") as fh:

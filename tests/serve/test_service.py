@@ -228,6 +228,62 @@ class TestResolution:
         assert all(o.cached for o in outcomes)
         assert service.cells_simulated == len(specs)  # no re-runs
 
+    def test_hot_sweep_reads_the_store_in_one_executor_call(
+        self, tmp_path, monkeypatch
+    ):
+        """A request's store reads cost one thread round trip, however
+        many cells it has, and every read still goes through
+        ``store.get``."""
+        service = make_service(tmp_path)
+        specs = [make_spec(user_insts=300 + n) for n in range(20)]
+        result = run_cell(specs[0])
+        for spec in specs:
+            service.store.put(spec, result)
+        calls = []
+        original = asyncio.BaseEventLoop.run_in_executor
+
+        def counting(loop, executor, func, *args):
+            calls.append(func)
+            return original(loop, executor, func, *args)
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "run_in_executor", counting)
+        outcomes = asyncio.run(service.run_cells(specs))
+        assert len(calls) == 1
+        assert all(o.cached and not o.deduped for o in outcomes)
+        assert service.store.stats.hits == 20
+        assert service.cells_simulated == 0
+
+    def test_mixed_sweep_yields_each_index_once(self, tmp_path):
+        """Hits, a duplicated miss and a lone miss in one request: every
+        index comes back once, flagged by how it was resolved."""
+        service = make_service(tmp_path)
+        hit_a, hit_b = make_spec(user_insts=301), make_spec(user_insts=302)
+        for spec in (hit_a, hit_b):
+            service.store.put(spec, run_cell(spec))
+        miss, lone = make_spec(user_insts=303), make_spec(mechanism="hardware")
+        specs = [hit_a, miss, hit_b, miss, lone]
+
+        async def collect():
+            return [item async for item in service.stream_cells(specs)]
+
+        items = asyncio.run(collect())
+        assert sorted(index for index, _ in items) == list(range(len(specs)))
+        flags = {index: (o.cached, o.deduped) for index, o in items}
+        assert flags == {
+            0: (True, False),
+            1: (False, False),
+            2: (True, False),
+            3: (False, True),
+            4: (False, False),
+        }
+        outcomes = dict(items)
+        for index, spec in enumerate(specs):
+            assert outcomes[index].spec == spec
+            assert outcomes[index].result.cycles == run_cell(spec).cycles
+        stats = service.store.stats
+        assert (stats.hits, stats.misses, stats.inflight_hits) == (2, 3, 1)
+        assert service.cells_simulated == 2
+
     def test_failing_cell_resolves_waiters_with_the_error(
         self, tmp_path, monkeypatch
     ):

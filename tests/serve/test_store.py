@@ -7,6 +7,9 @@ import json
 import os
 import pickle
 import time
+from pathlib import Path
+
+import pytest
 
 from repro.obs.manifest import validate_manifest
 from repro.serve.store import ContentStore, StoreStats
@@ -83,6 +86,16 @@ class TestCounters:
         manifest = json.loads(store.manifest_path(spec).read_text())
         assert validate_manifest(manifest) == []
         assert manifest["cache"]["puts"] == 1
+        assert set(manifest["cache"]) == set(StoreStats().as_dict())
+
+    def test_stats_count_entries_and_bytes(self, tmp_path):
+        store = ContentStore(tmp_path)
+        put_cells(store, [make_spec(user_insts=201), make_spec(user_insts=202)])
+        stats = store.stats_dict()
+        assert stats["entries"] == 2
+        assert stats["bytes"] == sum(
+            path.stat().st_size for path in tmp_path.glob("*.pkl")
+        )
 
     def test_disabled_cache_stores_nothing(self, tmp_path, monkeypatch):
         """REPRO_CACHE=0 gates the store itself (inherited behaviour):
@@ -95,7 +108,41 @@ class TestCounters:
         assert store.get(spec) is None
 
 
+class TestWrites:
+    @pytest.mark.parametrize("cls", [ResultCache, ContentStore])
+    def test_second_put_lists_nothing(self, tmp_path, monkeypatch, cls):
+        """Dead writers' temp files are pruned at an instance's first
+        put, and the manifest carries no occupancy, so later puts list
+        no directory however big the store grows."""
+        cache = cls(tmp_path)
+        first, second = make_spec(user_insts=201), make_spec(user_insts=202)
+        result = run_cell(first)
+        cache.put(first, result)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a put listed a directory")
+
+        for owner, name in ((Path, "glob"), (Path, "iterdir"), (Path, "rglob"),
+                            (os, "scandir"), (os, "listdir")):
+            monkeypatch.setattr(owner, name, refuse)
+        cache.put(second, result)
+        assert cache.get(second) is not None
+        assert cache.manifest_path(second).exists()
+
+
 class TestEviction:
+    def test_hit_leaves_the_mtime_alone(self, tmp_path):
+        """Recency lives in memory: a hit writes nothing to disk."""
+        store = ContentStore(tmp_path, max_entries=8, max_bytes=0)
+        spec = make_spec()
+        put_cells(store, [spec])
+        path = tmp_path / f"{store.key(spec)}.pkl"
+        past = time.time() - 3600
+        os.utime(path, (past, past))
+        before = path.stat().st_mtime_ns
+        assert store.get(spec) is not None
+        assert path.stat().st_mtime_ns == before
+
     def test_entry_bound_evicts_least_recently_used(self, tmp_path):
         store = ContentStore(tmp_path, max_entries=2, max_bytes=0)
         a = make_spec(user_insts=201)

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.sim.config import MachineConfig
+from repro.sim.config import FUPool, MachineConfig, config_token
 from repro.sim.parallel import (
     CellSpec,
     ResultCache,
@@ -110,6 +110,110 @@ class TestCache:
         cache.put(other, result)
         monkeypatch.setenv("REPRO_CACHE", "1")
         assert cache.get(other) is None  # the put was dropped
+
+
+#: Valid alternatives for the string fields of a config (every other
+#: field is an int, flipped or incremented).
+_STR_VARIANTS = {
+    "chooser": "round_robin",
+    "mechanism": "perfect",
+    "faults": "seed:1,mem_delay:40",
+}
+
+
+def one_field_variants(obj):
+    """``(dotted name, copy of obj)`` for every leaf field, recursing
+    into nested configs; each copy differs from obj in that field only."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            for name, changed in one_field_variants(value):
+                yield (
+                    f"{field.name}.{name}",
+                    dataclasses.replace(obj, **{field.name: changed}),
+                )
+            continue
+        if isinstance(value, bool):
+            other = not value
+        elif isinstance(value, int):
+            other = value + 1
+        else:
+            other = _STR_VARIANTS[field.name]
+        yield field.name, dataclasses.replace(obj, **{field.name: other})
+
+
+class TestContentAddress:
+    """:attr:`CellSpec.key` covers every config field, is the same on
+    every supported Python, and makes no deep copy of the config."""
+
+    @staticmethod
+    def _spec(config: MachineConfig) -> CellSpec:
+        return CellSpec(
+            workload="compress",
+            config=config,
+            user_insts=600,
+            warmup_insts=150,
+            max_cycles=2_000_000,
+            engine="fused",
+        )
+
+    def test_every_field_changes_the_key(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        base = MachineConfig()
+        variants = dict(one_field_variants(base))
+        # The walk reaches every nested config.
+        assert {"width", "faults", "fu_pool.mem", "hierarchy.memory_latency",
+                "limits.instant_fetch"} <= set(variants)
+        keys = {self._spec(base).key}
+        for name, config in variants.items():
+            assert config != base, name
+            keys.add(self._spec(config).key)
+        assert len(keys) == len(variants) + 1, "two configs share a key"
+
+    def test_equal_configs_share_a_key(self):
+        config = MachineConfig(mechanism="hardware", fu_pool=FUPool(alu=3))
+        twin = dataclasses.replace(config, fu_pool=FUPool(alu=3))
+        assert twin is not config and twin == config
+        assert self._spec(config).key == self._spec(twin).key
+
+    def test_no_deep_copy_in_any_content_address(self, monkeypatch):
+        from repro.checkpoint.warm import warm_token
+        from repro.obs.manifest import config_hash
+
+        config = MachineConfig(mechanism="traditional")
+        spec = self._spec(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dataclasses.asdict on the key path")
+
+        monkeypatch.setattr(dataclasses, "asdict", refuse)
+        assert len(spec.key) == 40
+        assert len(warm_token("compress", 150, config)) == 40
+        assert len(config_hash(config)) == 16
+
+    def test_default_token_is_pinned(self, monkeypatch):
+        """Clients, peers and nodes compute keys independently, so the
+        token must read the same on every supported Python."""
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        assert config_token(MachineConfig()) == (
+            "MachineConfig(width=8, window_size=128, num_threads=2, "
+            "fetch_latency=3, decode_latency=1, post_insert_delay=3, "
+            "fetch_buffer_size=16, chooser='icount', fu_pool=FUPool(alu=8, "
+            "muldiv=3, fp=3, fpdiv=1, mem=3), store_latency=2, "
+            "hierarchy=HierarchyConfig(l1i_size=65536, l1i_ways=2, "
+            "l1i_line=32, l1d_size=65536, l1d_ways=2, l1d_line=32, "
+            "l1_latency=3, l1_mshrs=64, l1l2_bus_occupancy=2, "
+            "l2_size=1048576, l2_ways=4, l2_line=64, l2_latency=6, "
+            "l2_mshrs=64, l2mem_bus_occupancy=11, memory_latency=80), "
+            "dtlb_entries=64, itlb_entries=0, align_check=False, "
+            "mechanism='multithreaded', idle_threads=1, walker_entries=8, "
+            "walker_latency=4, handler_fetch_priority=True, "
+            "use_spawn_predictor=False, predict_handler_length=True, "
+            "limits=LimitKnobs(no_execute_bandwidth=False, "
+            "no_window_overhead=False, no_fetch_bandwidth=False, "
+            "instant_fetch=False), fast_forward=True, sanitize=False, "
+            "faults='')"
+        )
 
 
 class TestEngineFingerprint:
