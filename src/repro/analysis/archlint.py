@@ -1,6 +1,6 @@
 """AST-based architecture lint over ``src/repro``.
 
-Three rule families, all error severity (they guard properties the test
+Four rule families, all error severity (they guard properties the test
 suite cannot see until they have already caused a silent regression):
 
 * ``layering`` — each package may only import from an allowed set of
@@ -16,19 +16,14 @@ suite cannot see until they have already caused a silent regression):
   half of ``sim``) must not import ``time`` or ``random``, and must not
   iterate over sets of uops without ``sorted(...)``; any of these lets
   parallel and serial runs diverge bit-for-bit.
-* ``missing-snapshot`` / ``snapshot-coverage`` — every class holding
-  mutable architectural state (the :data:`SNAPSHOT_REQUIRED` table)
-  must implement the explicit checkpoint protocol
-  (``snapshot_state``/``restore_state``, or ``from_state``/``link_state``
-  for two-phase objects), and every attribute the class declares must
-  be *named* somewhere in those methods or listed in the class's
-  ``_SNAPSHOT_TRANSIENT`` tuple.  A field silently added to, say, the
-  TLB but never serialized would make restore-then-run diverge from
-  straight-through in ways no unit test of the TLB alone can catch.
 * ``layering-static-pass`` — the static kernel pass
   (:mod:`repro.analysis.restart`) must analyze the engine/pipeline
   layers as *source text*, never import them: a linter that imports
   the code it lints cannot report on a tree that fails to import.
+
+Checkpoint coverage needs no rule: :mod:`repro.checkpoint.state`
+captures every field a state class does not declare transient, and
+refuses to capture a value it has no encoding for.
 
 Suppression: append ``# lint: ok(rule)`` to the offending line.
 """
@@ -205,42 +200,6 @@ SLOTS_REQUIRED: dict[str, frozenset[str]] = {
     "memory/cache.py": frozenset({"CacheStats", "Bus"}),
 }
 
-#: Classes (by repo-relative module path) that hold mutable
-#: architectural state and therefore must implement the checkpoint
-#: protocol with full attribute coverage (see docs/CHECKPOINT.md).
-SNAPSHOT_REQUIRED: dict[str, frozenset[str]] = {
-    "isa/registers.py": frozenset({"RegisterFile"}),
-    "memory/main_memory.py": frozenset({"MainMemory"}),
-    "memory/page_table.py": frozenset({"PageTable"}),
-    "memory/tlb.py": frozenset({"TLB", "PerfectTLB"}),
-    "memory/hierarchy.py": frozenset({"MemoryHierarchy"}),
-    "memory/cache.py": frozenset({"Cache", "Bus", "_DRAM"}),
-    "branch/unit.py": frozenset({"BranchPredictionUnit"}),
-    "branch/yags.py": frozenset({"YAGSPredictor"}),
-    "branch/cascaded.py": frozenset({"CascadedIndirectPredictor"}),
-    "branch/ras.py": frozenset({"ReturnAddressStack"}),
-    "pipeline/core.py": frozenset({"SMTCore"}),
-    "pipeline/window.py": frozenset({"InstructionWindow"}),
-    "pipeline/thread.py": frozenset({"ThreadContext"}),
-    "pipeline/uop.py": frozenset({"Uop"}),
-    "exceptions/base.py": frozenset({"ExceptionInstance", "ExceptionMechanism"}),
-    "exceptions/traditional.py": frozenset({"TraditionalMechanism"}),
-    "exceptions/multithreaded.py": frozenset({"MultithreadedMechanism"}),
-    "exceptions/hardware.py": frozenset({"HardwareWalkerMechanism"}),
-    "exceptions/quickstart.py": frozenset({"QuickStartMechanism"}),
-    "exceptions/predictors.py": frozenset(
-        {"ExceptionTypePredictor", "HandlerLengthPredictor", "SpawnPredictor"}
-    ),
-    "faults/injector.py": frozenset({"FaultInjector"}),
-}
-
-#: Method names that count as the checkpoint protocol.  Plain objects
-#: implement the first pair; objects restored in two phases (identity
-#: first, object links later) implement ``from_state``/``link_state``.
-_SNAPSHOT_METHODS = frozenset(
-    {"snapshot_state", "restore_state", "from_state", "link_state"}
-)
-
 #: Modules whose behaviour must be bit-reproducible across processes:
 #: all of pipeline, plus the model half of sim.  parallel.py (process
 #: management) and perfbench.py (wall-clock harness) are exempt.
@@ -398,116 +357,7 @@ class _ModuleChecker(ast.NodeVisitor):
                 f"hot-loop class {node.name!r} must declare __slots__ "
                 "(see docs/PERFORMANCE.md)",
             )
-        snapshot_classes = SNAPSHOT_REQUIRED.get(self.rel.as_posix(), frozenset())
-        if node.name in snapshot_classes:
-            self._check_snapshot_protocol(node)
         self.generic_visit(node)
-
-    # -- checkpoint protocol coverage ----------------------------------
-    @staticmethod
-    def _string_tuple(expr: ast.expr) -> set[str]:
-        """Constant strings in a tuple/list/set literal."""
-        if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            return {
-                e.value
-                for e in expr.elts
-                if isinstance(e, ast.Constant) and isinstance(e.value, str)
-            }
-        return set()
-
-    def _declared_attrs(self, node: ast.ClassDef) -> tuple[set[str], set[str]]:
-        """(declared attribute names, _SNAPSHOT_TRANSIENT names)."""
-        declared: set[str] = set()
-        transient: set[str] = set()
-        for stmt in node.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if not isinstance(target, ast.Name):
-                        continue
-                    if target.id == "__slots__":
-                        declared |= self._string_tuple(stmt.value)
-                    elif target.id == "_SNAPSHOT_TRANSIENT":
-                        transient |= self._string_tuple(stmt.value)
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                # Dataclass field (class-level annotated name).
-                if not stmt.target.id.startswith("__"):
-                    declared.add(stmt.target.id)
-            elif (
-                isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
-            ):
-                for sub in ast.walk(stmt):
-                    target = None
-                    if isinstance(sub, ast.Assign) and sub.targets:
-                        target = sub.targets[0]
-                    elif isinstance(sub, ast.AnnAssign):
-                        target = sub.target
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        declared.add(target.attr)
-        return declared, transient
-
-    def _check_snapshot_protocol(self, node: ast.ClassDef) -> None:
-        methods = {
-            stmt.name: stmt
-            for stmt in node.body
-            if isinstance(stmt, ast.FunctionDef)
-            and stmt.name in _SNAPSHOT_METHODS
-        }
-        has_save = "snapshot_state" in methods
-        has_load = "restore_state" in methods or (
-            "from_state" in methods and "link_state" in methods
-        )
-        if not (has_save and has_load):
-            self._emit(
-                "missing-snapshot",
-                node.lineno,
-                f"class {node.name!r} holds architectural state but does "
-                "not implement the checkpoint protocol (snapshot_state + "
-                "restore_state, or from_state/link_state; see "
-                "docs/CHECKPOINT.md)",
-            )
-            return
-        declared, transient = self._declared_attrs(node)
-        covered: set[str] = set()
-        full_coverage = False
-        for func in methods.values():
-            for sub in ast.walk(func):
-                if isinstance(sub, ast.Attribute):
-                    covered.add(sub.attr)
-                elif isinstance(sub, ast.Constant) and isinstance(
-                    sub.value, str
-                ):
-                    covered.add(sub.value)
-                elif isinstance(sub, ast.Call):
-                    name = sub.func
-                    callee = (
-                        name.id
-                        if isinstance(name, ast.Name)
-                        else name.attr
-                        if isinstance(name, ast.Attribute)
-                        else ""
-                    )
-                    if callee in ("fields", "asdict", "astuple"):
-                        # dataclasses introspection serializes every
-                        # field by construction.
-                        full_coverage = True
-        if full_coverage:
-            return
-        for attr in sorted(declared - covered - transient):
-            if attr.startswith("__"):
-                continue
-            self._emit(
-                "snapshot-coverage",
-                node.lineno,
-                f"attribute {node.name}.{attr} is neither serialized by "
-                "the checkpoint protocol nor listed in "
-                "_SNAPSHOT_TRANSIENT; restore would silently lose it",
-            )
 
     # -- nondeterministic set iteration --------------------------------
     @staticmethod

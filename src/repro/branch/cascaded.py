@@ -89,29 +89,5 @@ class CascadedIndirectPredictor:
             return 0.0
         return 1.0 - self.mispredictions / self.predictions
 
-    # -- checkpoint protocol --------------------------------------------
     #: Geometry fields are configuration (fixed Table-1 sizing).
     _SNAPSHOT_TRANSIENT = ("stage1_size", "stage2_size", "tag_mask", "path_mask")
-
-    def snapshot_state(self, ctx) -> dict:
-        return {
-            "stage1": list(self.stage1),
-            "stage2": [
-                [idx, entry.tag, entry.target]
-                for idx, entry in enumerate(self.stage2)
-                if entry is not None
-            ],
-            "predictions": self.predictions,
-            "mispredictions": self.mispredictions,
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        if len(state["stage1"]) != self.stage1_size:
-            raise ValueError("cascaded stage-1 size mismatch")
-        self.stage1 = list(state["stage1"])
-        stage2: list[_Stage2Entry | None] = [None] * self.stage2_size
-        for idx, tag, target in state["stage2"]:
-            stage2[idx] = _Stage2Entry(tag=tag, target=target)
-        self.stage2 = stage2
-        self.predictions = state["predictions"]
-        self.mispredictions = state["mispredictions"]

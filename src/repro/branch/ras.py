@@ -59,22 +59,5 @@ class ReturnAddressStack:
         self._tos = cp.tos
         self._stack[self._tos % self.size] = cp.top_value
 
-    # -- checkpoint protocol --------------------------------------------
     #: ``size`` is configuration (fixed 64-entry sizing).
     _SNAPSHOT_TRANSIENT = ("size",)
-
-    def snapshot_state(self, ctx) -> dict:
-        return {
-            "stack": list(self._stack),
-            "tos": self._tos,
-            "pushes": self.pushes,
-            "pops": self.pops,
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        if len(state["stack"]) != self.size:
-            raise ValueError("RAS size mismatch")
-        self._stack = list(state["stack"])
-        self._tos = state["tos"]
-        self.pushes = state["pushes"]
-        self.pops = state["pops"]

@@ -21,7 +21,6 @@ returns, giving traditional trap handling its second pipeline refill).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.branch.cascaded import CascadedIndirectPredictor
@@ -60,6 +59,8 @@ class BranchStats:
     indirect_mispredictions: int = 0
     return_predictions: int = 0
     return_mispredictions: int = 0
+
+    _SNAPSHOT_TRANSIENT = ()
 
 
 class BranchPredictionUnit:
@@ -181,22 +182,4 @@ class BranchPredictionUnit:
             if actual_target != pred_target:
                 self.stats.return_mispredictions += 1
 
-    # -- checkpoint protocol --------------------------------------------
-    def snapshot_state(self, ctx) -> dict:
-        return {
-            "yags": self.yags.snapshot_state(ctx),
-            "indirect": self.indirect.snapshot_state(ctx),
-            "ras": self.ras.snapshot_state(ctx),
-            "ghr": self.ghr,
-            "path": self.path,
-            "stats": dataclasses.asdict(self.stats),
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        self.yags.restore_state(state["yags"], ctx)
-        self.indirect.restore_state(state["indirect"], ctx)
-        self.ras.restore_state(state["ras"], ctx)
-        self.ghr = state["ghr"]
-        self.path = state["path"]
-        for f in dataclasses.fields(self.stats):
-            setattr(self.stats, f.name, state["stats"][f.name])
+    _SNAPSHOT_TRANSIENT = ()

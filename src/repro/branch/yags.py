@@ -119,41 +119,8 @@ class YAGSPredictor:
             return 0.0
         return 1.0 - self.mispredictions / self.predictions
 
-    # -- checkpoint protocol --------------------------------------------
     #: Geometry fields are configuration (fixed Table-1 sizing).
     _SNAPSHOT_TRANSIENT = (
         "choice_size", "cache_size", "tag_mask", "history_bits",
         "history_mask",
     )
-
-    @staticmethod
-    def _encode_cache(cache: list) -> list:
-        return [
-            [idx, entry.tag, entry.counter]
-            for idx, entry in enumerate(cache)
-            if entry is not None
-        ]
-
-    def _decode_cache(self, encoded: list) -> list:
-        cache: list[_CacheEntry | None] = [None] * self.cache_size
-        for idx, tag, counter in encoded:
-            cache[idx] = _CacheEntry(tag=tag, counter=counter)
-        return cache
-
-    def snapshot_state(self, ctx) -> dict:
-        return {
-            "choice": list(self.choice),
-            "t_cache": self._encode_cache(self.t_cache),
-            "nt_cache": self._encode_cache(self.nt_cache),
-            "predictions": self.predictions,
-            "mispredictions": self.mispredictions,
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        if len(state["choice"]) != self.choice_size:
-            raise ValueError("YAGS choice-table size mismatch")
-        self.choice = list(state["choice"])
-        self.t_cache = self._decode_cache(state["t_cache"])
-        self.nt_cache = self._decode_cache(state["nt_cache"])
-        self.predictions = state["predictions"]
-        self.mispredictions = state["mispredictions"]

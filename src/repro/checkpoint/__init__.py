@@ -5,8 +5,9 @@ Three layers:
 * :mod:`repro.checkpoint.format` -- the on-disk container (versioned,
   integrity-hashed header + compressed canonical-JSON body).
 * :mod:`repro.checkpoint.state` -- capture/restore of complete machine
-  state via the explicit ``snapshot_state``/``restore_state`` protocol
-  every state-bearing class implements (no pickling of live objects).
+  state by one walk over every field of each state object, minus the
+  fields its class declares in ``_SNAPSHOT_TRANSIENT`` (no pickling of
+  live objects, no per-class snapshot code).
 * :mod:`repro.checkpoint.warm` / :mod:`repro.checkpoint.autosave` --
   the two workflows built on top: warmup-shared checkpoints for
   per-mechanism sweeps, and periodic autosave + crash resume for long
@@ -32,6 +33,7 @@ from repro.checkpoint.format import (
 )
 from repro.checkpoint.state import (
     SnapshotContext,
+    SnapshotError,
     capture_machine,
     machine_config_from_dict,
     restore_machine,
@@ -60,6 +62,7 @@ __all__ = [
     "verify_checkpoint",
     "write_checkpoint",
     "SnapshotContext",
+    "SnapshotError",
     "capture_machine",
     "restore_machine",
     "machine_config_from_dict",

@@ -2,7 +2,7 @@
 
 A checkpoint file is::
 
-    {"magic": "repro-ckpt", "version": 1, "sha256": "...", ...}\\n
+    {"magic": "repro-ckpt", "version": 2, "sha256": "...", ...}\\n
     <zlib-compressed canonical JSON body>
 
 The header is one uncompressed JSON line so ``inspect`` and ``verify``
@@ -30,7 +30,7 @@ import zlib
 from pathlib import Path
 
 MAGIC = "repro-ckpt"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(Exception):

@@ -20,16 +20,13 @@ through the loop show source lines.
 
 With an observability bus attached the core runs the reference stages
 (the generated code assumes ``listeners is None``), and ``step()`` is
-always the reference one.  The cyclic collector is paused during the
-fused loop: uops allocate in bursts, and collection has no simulated
-state, so deferring it cannot change results.
+always the reference one.
 """
 
 from __future__ import annotations
 
 import builtins
 import contextlib
-import gc
 import hashlib
 import importlib
 import linecache
@@ -67,15 +64,7 @@ class FusedSMTCore(SMTCore):
     def run_to(self, watch, stop_cycle):
         if self.listeners is not None:
             return SMTCore.run_to(self, watch, stop_cycle)
-        run_to = (_KERNEL or _kernel())["run_to"]
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            return run_to(self, watch, stop_cycle)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        return (_KERNEL or _kernel())["run_to"](self, watch, stop_cycle)
 
 
 def kernel(cache_dir: str = CACHE_DIR) -> dict:

@@ -38,7 +38,6 @@ _LAZY = {
     "LimitKnobs": "repro.exceptions.limits",
     "MultithreadedMechanism": "repro.exceptions.multithreaded",
     "ExceptionTypePredictor": "repro.exceptions.predictors",
-    "HandlerLengthPredictor": "repro.exceptions.predictors",
     "QuickStartMechanism": "repro.exceptions.quickstart",
     "TraditionalMechanism": "repro.exceptions.traditional",
 }
@@ -62,7 +61,6 @@ __all__ = [
     "LimitKnobs",
     "MultithreadedMechanism",
     "ExceptionTypePredictor",
-    "HandlerLengthPredictor",
     "QuickStartMechanism",
     "TraditionalMechanism",
 ]

@@ -14,7 +14,6 @@ is squashed.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -89,51 +88,8 @@ class ExceptionInstance:
 
         return [w for w in self.waiters if w.state != UopState.SQUASHED]
 
-    # -- checkpoint protocol --------------------------------------------
-    _SNAPSHOT_TRANSIENT = ("master_uop", "thread", "waiters")
-
-    def snapshot_state(self, ctx) -> dict:
-        """Encode every field; uops by seq, threads by tid."""
-        return {
-            "vpn": self.vpn,
-            "va": self.va,
-            "master_uop": ctx.uop_ref(self.master_uop),
-            "thread": self.thread.tid if self.thread is not None else None,
-            "exc_type": self.exc_type,
-            "src_value": self.src_value,
-            "id": self.id,
-            "waiters": [
-                s for s in (ctx.uop_ref(w) for w in self.waiters)
-                if s is not None
-            ],
-            "filled": self.filled,
-            "fill_cycle": self.fill_cycle,
-            "squashed": self.squashed,
-            "spawn_cycle": self.spawn_cycle,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ExceptionInstance":
-        """Rebuild scalars; object links are patched by :meth:`link_state`."""
-        return cls(
-            vpn=state["vpn"],
-            va=state["va"],
-            master_uop=None,
-            thread=None,
-            exc_type=state["exc_type"],
-            src_value=state["src_value"],
-            id=state["id"],
-            filled=state["filled"],
-            fill_cycle=state["fill_cycle"],
-            squashed=state["squashed"],
-            spawn_cycle=state["spawn_cycle"],
-        )
-
-    def link_state(self, state: dict, ctx) -> None:
-        """Second restore pass: resolve uop/thread references."""
-        self.master_uop = ctx.resolve_uop(state["master_uop"])
-        self.thread = ctx.resolve_thread(state["thread"])
-        self.waiters = [ctx.resolve_uop(s) for s in state["waiters"]]
+    #: Checkpoints capture every field, the uops and thread by reference.
+    _SNAPSHOT_TRANSIENT = ()
 
 
 @dataclass
@@ -158,6 +114,8 @@ class MechanismStats:
     walks_dropped: int = 0
     page_faults: int = 0
 
+    _SNAPSHOT_TRANSIENT = ()
+
 
 class ExceptionMechanism:
     """Base class: no-op hooks plus the attach protocol."""
@@ -172,26 +130,8 @@ class ExceptionMechanism:
         """Bind to a core.  Called once by the simulator before running."""
         self.core = core
 
-    # -- checkpoint protocol --------------------------------------------
-    #: ``core`` is rebound by attach(); stats are enumerated explicitly.
-    _SNAPSHOT_TRANSIENT = ("core", "stats")
-
-    def snapshot_state(self, ctx) -> dict:
-        """Encode mechanism state; subclasses extend the returned dict."""
-        return {
-            "name": self.name,
-            "stats": dataclasses.asdict(self.stats),
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        """Restore in-place on an attached mechanism of the same kind."""
-        if state["name"] != self.name:
-            raise ValueError(
-                f"snapshot holds {state['name']!r} mechanism state, "
-                f"cannot restore into {self.name!r}"
-            )
-        for f in dataclasses.fields(self.stats):
-            setattr(self.stats, f.name, state["stats"][f.name])
+    #: ``core`` is rebound by attach().
+    _SNAPSHOT_TRANSIENT = ("core",)
 
     def drain(self, now: int) -> None:
         """Drop all in-flight exception bookkeeping (quiesce support).

@@ -239,44 +239,7 @@ class HardwareWalkerMechanism(ExceptionMechanism):
             return now
         return nxt
 
-    # -- checkpoint protocol --------------------------------------------
-    def snapshot_state(self, ctx) -> dict:
-        state = super().snapshot_state(ctx)
-        state["traditional"] = self.traditional.snapshot_state(ctx)
-        state["walker_entries"] = self._walker_entries
-        state["walker_latency"] = self._walker_latency
-        # Port grants and completions scan _walks in insertion order:
-        # encode pairs verbatim, not sorted.
-        state["walks"] = [
-            [
-                vpn,
-                {
-                    "instance": ctx.instance_ref(walk.instance),
-                    "pte_addr": walk.pte_addr,
-                    "port_granted": walk.port_granted,
-                    "completion": walk.completion,
-                },
-            ]
-            for vpn, walk in self._walks.items()
-        ]
-        state["overflow"] = [ctx.uop_ref(u) for u in self._overflow]
-        return state
-
-    def restore_state(self, state: dict, ctx) -> None:
-        super().restore_state(state, ctx)
-        self.traditional.restore_state(state["traditional"], ctx)
-        self._walker_entries = state["walker_entries"]
-        self._walker_latency = state["walker_latency"]
-        self._walks = {
-            vpn: _Walk(
-                instance=ctx.resolve_instance(w["instance"]),
-                pte_addr=w["pte_addr"],
-                port_granted=w["port_granted"],
-                completion=w["completion"],
-            )
-            for vpn, w in state["walks"]
-        }
-        self._overflow = [ctx.resolve_uop(s) for s in state["overflow"]]
+    _SNAPSHOT_TRANSIENT = ()
 
     def drain(self, now: int) -> None:
         """Abandon in-flight walks and queued misses; every uop that was

@@ -621,47 +621,7 @@ class MultithreadedMechanism(ExceptionMechanism):
         self._thread_freed(thread, now)
         thread.reset_to_idle()
 
-    # -- checkpoint protocol --------------------------------------------
-    def snapshot_state(self, ctx) -> dict:
-        state = super().snapshot_state(ctx)
-        state["traditional"] = self.traditional.snapshot_state(ctx)
-        # on_store_retired scans _by_vpn in insertion order: encode pairs
-        # verbatim, not sorted.
-        state["by_vpn"] = [
-            [vpn, ctx.instance_ref(inst)]
-            for vpn, inst in self._by_vpn.items()
-        ]
-        state["itlb_pending"] = [
-            [vpn, ctx.instance_ref(inst)]
-            for vpn, inst in self._itlb_pending.items()
-        ]
-        state["itlb_waiters"] = [
-            [vpn, list(tids)] for vpn, tids in self._itlb_waiters.items()
-        ]
-        state["itlb_revert"] = sorted(self._itlb_revert)
-        state["spawn_predictor"] = self.spawn_predictor.snapshot_state(ctx)
-        state["suppressed"] = [[k, v] for k, v in self._suppressed.items()]
-        state["spawn_probe_interval"] = self.spawn_probe_interval
-        return state
-
-    def restore_state(self, state: dict, ctx) -> None:
-        super().restore_state(state, ctx)
-        self.traditional.restore_state(state["traditional"], ctx)
-        self._by_vpn = {
-            vpn: ctx.resolve_instance(ref) for vpn, ref in state["by_vpn"]
-        }
-        # .get(): pre-scenario checkpoints have no ITLB state.
-        self._itlb_pending = {
-            vpn: ctx.resolve_instance(ref)
-            for vpn, ref in state.get("itlb_pending", [])
-        }
-        self._itlb_waiters = {
-            vpn: list(tids) for vpn, tids in state.get("itlb_waiters", [])
-        }
-        self._itlb_revert = set(state.get("itlb_revert", []))
-        self.spawn_predictor.restore_state(state["spawn_predictor"], ctx)
-        self._suppressed = {k: v for k, v in state["suppressed"]}
-        self.spawn_probe_interval = state["spawn_probe_interval"]
+    _SNAPSHOT_TRANSIENT = ()
 
     def drain(self, now: int) -> None:
         """Forget in-flight exception work.  Handler threads with a master

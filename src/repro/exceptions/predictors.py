@@ -6,10 +6,6 @@
   2-4 bits for each of ~16 types).  With only data-TLB misses modelled
   the prediction is trivially perfect, which the paper itself notes is
   optimistic.
-* :class:`HandlerLengthPredictor` -- Section 4.4: the fetch engine stops
-  fetching a handler thread after the predicted handler length to avoid
-  wasted fetch cycles.  Last-value prediction per exception type; Table 1
-  assumes it is perfect in the common case.
 * :class:`SpawnPredictor` -- Section 4.3: learns which exception types
   are implemented with spawning in mind by tracking ``hardexc`` usage,
   so exceptions that always revert skip the multithreaded attempt.
@@ -56,42 +52,9 @@ class ExceptionTypePredictor:
             self.correct += 1
         return hit
 
-    # -- checkpoint protocol --------------------------------------------
-    #: Counter order matters: :meth:`predict` breaks ties by insertion
-    #: order, so the table is encoded as ordered pairs, not a sorted map.
-    def snapshot_state(self, ctx) -> dict:
-        return {
-            "counter_bits": self.counter_bits,
-            "counters": [[k, v] for k, v in self._counters.items()],
-            "predictions": self.predictions,
-            "correct": self.correct,
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        self.counter_bits = state["counter_bits"]
-        self._counters = {k: v for k, v in state["counters"]}
-        self.predictions = state["predictions"]
-        self.correct = state["correct"]
-
-
-@dataclass
-class HandlerLengthPredictor:
-    """Last-value handler-length prediction per exception type."""
-
-    _lengths: dict[str, int] = field(default_factory=dict)
-
-    def record(self, exc_type: str, length: int) -> None:
-        self._lengths[exc_type] = length
-
-    def predict(self, exc_type: str, default: int) -> int:
-        return self._lengths.get(exc_type, default)
-
-    # -- checkpoint protocol --------------------------------------------
-    def snapshot_state(self, ctx) -> dict:
-        return {"lengths": [[k, v] for k, v in self._lengths.items()]}
-
-    def restore_state(self, state: dict, ctx) -> None:
-        self._lengths = {k: v for k, v in state["lengths"]}
+    #: Checkpoints capture every field; ``_counters`` keeps its insertion
+    #: order, which breaks :meth:`predict`'s ties.
+    _SNAPSHOT_TRANSIENT = ()
 
 
 @dataclass
@@ -125,13 +88,4 @@ class SpawnPredictor:
         current = self._counters.get(exc_type, self._max)
         self._counters[exc_type] = max(0, current - 1)
 
-    # -- checkpoint protocol --------------------------------------------
-    def snapshot_state(self, ctx) -> dict:
-        return {
-            "counter_bits": self.counter_bits,
-            "counters": [[k, v] for k, v in self._counters.items()],
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        self.counter_bits = state["counter_bits"]
-        self._counters = {k: v for k, v in state["counters"]}
+    _SNAPSHOT_TRANSIENT = ()

@@ -146,29 +146,7 @@ class QuickStartMechanism(MultithreadedMechanism):
         self._cursor[thread.tid] = 0
         self._image_type.pop(thread.tid, None)
 
-    # -- checkpoint protocol --------------------------------------------
-    def snapshot_state(self, ctx) -> dict:
-        state = super().snapshot_state(ctx)
-        state["type_predictor"] = self.type_predictor.snapshot_state(ctx)
-        state["images"] = [
-            [tid, [[e.pc, e.ready_cycle] for e in image]]
-            for tid, image in sorted(self._images.items())
-        ]
-        state["cursor"] = [[k, v] for k, v in sorted(self._cursor.items())]
-        state["image_type"] = [
-            [k, v] for k, v in sorted(self._image_type.items())
-        ]
-        return state
-
-    def restore_state(self, state: dict, ctx) -> None:
-        super().restore_state(state, ctx)
-        self.type_predictor.restore_state(state["type_predictor"], ctx)
-        self._images = {
-            tid: [_PrefetchEntry(pc=pc, ready_cycle=rc) for pc, rc in image]
-            for tid, image in state["images"]
-        }
-        self._cursor = {k: v for k, v in state["cursor"]}
-        self._image_type = {k: v for k, v in state["image_type"]}
+    _SNAPSHOT_TRANSIENT = ()
 
     def drain(self, now: int) -> None:
         """Drop prefetched handler images along with in-flight exception

@@ -292,20 +292,7 @@ class TraditionalMechanism(ExceptionMechanism):
             return f"re-trapped handler on t{tid} ({instance.exc_type})"
         return None
 
-    # -- checkpoint protocol --------------------------------------------
-    def snapshot_state(self, ctx) -> dict:
-        state = super().snapshot_state(ctx)
-        state["active"] = [
-            [tid, ctx.instance_ref(self._active[tid])]
-            for tid in sorted(self._active)
-        ]
-        return state
-
-    def restore_state(self, state: dict, ctx) -> None:
-        super().restore_state(state, ctx)
-        self._active = {
-            tid: ctx.resolve_instance(ref) for tid, ref in state["active"]
-        }
+    _SNAPSHOT_TRANSIENT = ()
 
     def drain(self, now: int) -> None:
         """Forget in-flight traps; the core has already squashed their

@@ -180,21 +180,6 @@ class FaultInjector:
             "pte_corrupt", now, thread.tid, uop.seq, uop.pc, f"vpn={vpn:#x}"
         )
 
-    # -- checkpoint protocol --------------------------------------------
-    #: Rebuilt from the spec (config/env) at construction: not state.
+    #: Rebuilt from the plan at construction; checkpoints capture the
+    #: stream counters.
     _SNAPSHOT_TRANSIENT = ("core", "plan", "seed", "_rules", "_phases")
-
-    def snapshot_state(self, ctx) -> dict:
-        """Stream counters only; the plan is rebuilt from config/env."""
-        return {
-            "kind": "faults",
-            "events": dict(self.events),
-            "counts": dict(self.counts),
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        if state["kind"] != "faults":
-            raise ValueError("snapshot faults kind mismatch: expected 'faults'")
-        for kind in FAULT_KINDS:
-            self.events[kind] = state["events"].get(kind, 0)
-            self.counts[kind] = state["counts"].get(kind, 0)

@@ -127,18 +127,7 @@ class RegisterFile:
         copy.privs = list(self.privs)
         return copy
 
-    # -- checkpoint protocol --------------------------------------------
-    def snapshot_state(self, ctx) -> dict:
-        return {
-            "ints": list(self.ints),
-            "fps": list(self.fps),
-            "privs": list(self.privs),
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        self.ints = list(state["ints"])
-        self.fps = list(state["fps"])
-        self.privs = list(state["privs"])
+    _SNAPSHOT_TRANSIENT = ()
 
 
 def to_signed(value: int) -> int:

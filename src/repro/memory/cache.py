@@ -25,7 +25,6 @@ a machine is built allocates nothing per line.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 
@@ -48,16 +47,8 @@ class Bus:
         self.next_free = 0
         self.transfers = 0
 
-    # -- checkpoint protocol --------------------------------------------
     #: ``occupancy`` is configuration, rebuilt from MachineConfig.
     _SNAPSHOT_TRANSIENT = ("occupancy",)
-
-    def snapshot_state(self, ctx) -> dict:
-        return {"next_free": self.next_free, "transfers": self.transfers}
-
-    def restore_state(self, state: dict, ctx) -> None:
-        self.next_free = state["next_free"]
-        self.transfers = state["transfers"]
 
 
 @dataclass(slots=True)
@@ -71,6 +62,8 @@ class CacheStats:
     mshr_stalls: int = 0
     evictions: int = 0
     writebacks: int = 0
+
+    _SNAPSHOT_TRANSIENT = ()
 
     @property
     def miss_rate(self) -> float:
@@ -92,16 +85,8 @@ class _DRAM:
     def reset(self) -> None:
         self.stats = CacheStats()
 
-    # -- checkpoint protocol --------------------------------------------
     #: ``latency`` is configuration, rebuilt from MachineConfig.
     _SNAPSHOT_TRANSIENT = ("latency",)
-
-    def snapshot_state(self, ctx) -> dict:
-        return {"stats": dataclasses.asdict(self.stats)}
-
-    def restore_state(self, state: dict, ctx) -> None:
-        for f in dataclasses.fields(self.stats):
-            setattr(self.stats, f.name, state["stats"][f.name])
 
 
 class Cache:
@@ -263,49 +248,12 @@ class Cache:
         self.stats = CacheStats()
         self._use_clock = 0
 
-    # -- checkpoint protocol --------------------------------------------
     #: Geometry/latency fields are configuration; next_level and bus are
-    #: wired by MemoryHierarchy and snapshotted as their own objects.
+    #: wired by MemoryHierarchy, which captures them as its own fields.
     _SNAPSHOT_TRANSIENT = (
         "name", "ways", "line_size", "line_shift", "num_sets", "set_mask",
         "latency", "fill_latency", "next_level", "bus", "mshr_count",
     )
-
-    def snapshot_state(self, ctx) -> dict:
-        """Encode sets/MSHRs preserving dict insertion order.
-
-        Each line is ``[line address, LRU stamp, dirty]``.  LRU victims
-        are unique by stamp so order is not strictly architectural here,
-        but preserving it keeps restored and straight-through runs
-        structurally identical.
-        """
-        dirty = self._dirty
-        return {
-            "sets": [
-                [[tag, last_use, tag in dirty] for tag, last_use in lines.items()]
-                for lines in self._sets
-            ],
-            "mshrs": [[k, v] for k, v in self._mshrs.items()],
-            "use_clock": self._use_clock,
-            "stats": dataclasses.asdict(self.stats),
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        if len(state["sets"]) != self.num_sets:
-            raise ValueError(
-                f"{self.name}: snapshot has {len(state['sets'])} sets, "
-                f"cache has {self.num_sets}"
-            )
-        self._sets = [
-            {tag: last_use for tag, last_use, _ in lines} for lines in state["sets"]
-        ]
-        self._dirty = {
-            tag for lines in state["sets"] for tag, _, dirty in lines if dirty
-        }
-        self._mshrs = {k: v for k, v in state["mshrs"]}
-        self._use_clock = state["use_clock"]
-        for f in dataclasses.fields(self.stats):
-            setattr(self.stats, f.name, state["stats"][f.name])
 
 
 def make_dram(latency: int) -> _DRAM:

@@ -101,24 +101,5 @@ class MemoryHierarchy:
         self.l1_bus.reset()
         self.l2_bus.reset()
 
-    # -- checkpoint protocol --------------------------------------------
     #: ``config`` is rebuilt from the MachineConfig stored in the header.
     _SNAPSHOT_TRANSIENT = ("config",)
-
-    def snapshot_state(self, ctx) -> dict:
-        return {
-            "l1i": self.l1i.snapshot_state(ctx),
-            "l1d": self.l1d.snapshot_state(ctx),
-            "l2": self.l2.snapshot_state(ctx),
-            "dram": self.dram.snapshot_state(ctx),
-            "l1_bus": self.l1_bus.snapshot_state(ctx),
-            "l2_bus": self.l2_bus.snapshot_state(ctx),
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        self.l1i.restore_state(state["l1i"], ctx)
-        self.l1d.restore_state(state["l1d"], ctx)
-        self.l2.restore_state(state["l2"], ctx)
-        self.dram.restore_state(state["dram"], ctx)
-        self.l1_bus.restore_state(state["l1_bus"], ctx)
-        self.l2_bus.restore_state(state["l2_bus"], ctx)

@@ -41,10 +41,4 @@ class MainMemory:
         """Copy of the current contents (for architectural-state checks)."""
         return dict(self._words)
 
-    # -- checkpoint protocol --------------------------------------------
-    def snapshot_state(self, ctx) -> dict:
-        """Encode contents as sorted [word_index, value] pairs."""
-        return {"words": [[k, self._words[k]] for k in sorted(self._words)]}
-
-    def restore_state(self, state: dict, ctx) -> None:
-        self._words = {k: v for k, v in state["words"]}
+    _SNAPSHOT_TRANSIENT = ()

@@ -94,13 +94,5 @@ class PageTable:
     def mapped_pages(self) -> int:
         return len(self._mapped)
 
-    # -- checkpoint protocol --------------------------------------------
-    #: ``memory`` is the owning simulator's MainMemory, restored separately.
+    #: ``memory`` is the owning simulator's MainMemory, captured on its own.
     _SNAPSHOT_TRANSIENT = ("memory",)
-
-    def snapshot_state(self, ctx) -> dict:
-        return {"base": self.base, "mapped": sorted(self._mapped)}
-
-    def restore_state(self, state: dict, ctx) -> None:
-        self.base = state["base"]
-        self._mapped = set(state["mapped"])

@@ -16,7 +16,6 @@ baseline runs that define the penalty-per-miss metric.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -41,6 +40,8 @@ class TLBStats:
     confirmed_fills: int = 0
     rollbacks: int = 0
     invalidations: int = 0
+
+    _SNAPSHOT_TRANSIENT = ()
 
 
 class TLB:
@@ -150,29 +151,8 @@ class TLB:
     def __contains__(self, vpn: int) -> bool:
         return vpn in self._entries
 
-    # -- checkpoint protocol --------------------------------------------
-    def snapshot_state(self, ctx) -> dict:
-        """Entries in LRU order (OrderedDict order is architectural)."""
-        return {
-            "kind": "tlb",
-            "capacity": self.capacity,
-            "entries": [
-                [e.vpn, e.pfn, e.speculative, e.producer]
-                for e in self._entries.values()
-            ],
-            "stats": dataclasses.asdict(self.stats),
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        if state["kind"] != "tlb":
-            raise ValueError("snapshot TLB kind mismatch: expected 'tlb'")
-        self.capacity = state["capacity"]
-        self._entries = OrderedDict(
-            (vpn, TLBEntry(vpn=vpn, pfn=pfn, speculative=spec, producer=prod))
-            for vpn, pfn, spec, prod in state["entries"]
-        )
-        for f in dataclasses.fields(self.stats):
-            setattr(self.stats, f.name, state["stats"][f.name])
+    #: Checkpoints capture every field; ``_entries`` keeps its LRU order.
+    _SNAPSHOT_TRANSIENT = ()
 
 
 class PerfectTLB:
@@ -218,12 +198,4 @@ class PerfectTLB:
         """No storage to corrupt: TLB faults are no-ops on a perfect TLB."""
         return []
 
-    # -- checkpoint protocol --------------------------------------------
-    def snapshot_state(self, ctx) -> dict:
-        return {"kind": "perfect", "stats": dataclasses.asdict(self.stats)}
-
-    def restore_state(self, state: dict, ctx) -> None:
-        if state["kind"] != "perfect":
-            raise ValueError("snapshot TLB kind mismatch: expected 'perfect'")
-        for f in dataclasses.fields(self.stats):
-            setattr(self.stats, f.name, state["stats"][f.name])
+    _SNAPSHOT_TRANSIENT = ()

@@ -23,7 +23,6 @@ Wrong-path execution is real: it touches the caches and the TLB.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING
@@ -526,6 +525,7 @@ class SMTCore:
                     buf.popleft()
                     thread.rob.remove(uop)
                     uop.state = UopState.SQUASHED
+                    uop.src_a_uop = uop.src_b_uop = uop.consumers = None
                     stats.overfetch_discarded += 1
                     self._activity = True
                     if not handler_free:
@@ -1145,6 +1145,8 @@ class SMTCore:
                     queue.remove(victim)
         if self.mechanism is not None:
             self.mechanism.on_uop_squashed(victim, now)
+        # A dead uop's dataflow links would only keep its producers alive.
+        victim.src_a_uop = victim.src_b_uop = victim.consumers = None
 
     def squash_all(self, thread: ThreadContext, now: int) -> int:
         """Squash every in-flight uop of ``thread`` (thread reclaim)."""
@@ -1276,6 +1278,8 @@ class SMTCore:
 
         if self.faults is not None:
             self.faults.on_retire(thread, uop, now)
+        # Consumers read a retired uop's value, never its links.
+        uop.src_a_uop = uop.src_b_uop = uop.consumers = None
 
     # ------------------------------------------------------------------
     # Checkpoint support.
@@ -1337,72 +1341,11 @@ class SMTCore:
         if len(self.window) or self.window.occupancy:
             raise RuntimeError("drain left the instruction window occupied")
 
-    #: Rebuilt from MachineConfig / wiring at construction, or rebound by
-    #: attach(): not part of the snapshot.
+    #: Configuration, hot-loop aliases and hooks rebuilt at construction,
+    #: and the machine layers a checkpoint captures on their own.
     _SNAPSHOT_TRANSIENT = (
         "config", "memory", "hierarchy", "dtlb", "itlb", "page_table", "bpu",
         "mechanism", "_l1_latency", "_fetch_latency", "_icount_chooser",
         "_pt_base", "_ifetch", "listeners", "_sanitizer", "_mech_tick",
         "_mech_ports", "_mech_fetch_idle",
     )
-
-    def snapshot_state(self, ctx) -> dict:
-        """Encode core state; uop references register with ``ctx``."""
-        if self._exec_heap is not None or self._exec_seq != -1:
-            raise RuntimeError(
-                "core snapshot is only defined between step() boundaries"
-            )
-        return {
-            "cycle": self.cycle,
-            "next_seq": self._next_seq,
-            "activity": self._activity,
-            "stats": dataclasses.asdict(self.stats),
-            "pal_entries": dict(self.pal_entries),
-            "handler_lengths": dict(self.handler_lengths),
-            "threads": [t.snapshot_state(ctx) for t in self.threads],
-            "window": self.window.snapshot_state(ctx),
-            "wake_buckets": [
-                [cyc, [ctx.uop_ref(u) for u in self._wake_buckets[cyc]]]
-                for cyc in sorted(self._wake_buckets)
-            ],
-            "retry": [ctx.uop_ref(u) for u in self._retry],
-            "faults": (
-                self.faults.snapshot_state(ctx)
-                if self.faults is not None
-                else None
-            ),
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        """Second restore phase: uops already exist in ``ctx``."""
-        self.cycle = state["cycle"]
-        self._next_seq = state["next_seq"]
-        self._activity = state["activity"]
-        # .get(): snapshots written before a counter existed restore with
-        # that counter at its fresh default (zero / empty dict).
-        for f in dataclasses.fields(self.stats):
-            if f.name in state["stats"]:
-                setattr(self.stats, f.name, state["stats"][f.name])
-        self.pal_entries = dict(state["pal_entries"])
-        self.handler_lengths = dict(state["handler_lengths"])
-        if len(state["threads"]) != len(self.threads):
-            raise ValueError(
-                f"snapshot has {len(state['threads'])} thread contexts, "
-                f"core has {len(self.threads)}"
-            )
-        for thread, tstate in zip(self.threads, state["threads"]):
-            thread.restore_state(tstate, ctx)
-        self.window.restore_state(state["window"], ctx)
-        self._wake_buckets = {
-            cyc: [ctx.resolve_uop(s) for s in seqs]
-            for cyc, seqs in state["wake_buckets"]
-        }
-        self._retry = [ctx.resolve_uop(s) for s in state["retry"]]
-        # Older checkpoints predate the fault injector; a snapshot taken
-        # with faults off restores cleanly into a faulted machine (the
-        # injector simply starts its streams from zero).
-        fault_state = state.get("faults")
-        if fault_state is not None and self.faults is not None:
-            self.faults.restore_state(fault_state, ctx)
-        self._exec_heap = None
-        self._exec_seq = -1

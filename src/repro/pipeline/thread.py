@@ -165,64 +165,7 @@ class ThreadContext:
         self.master_uop = None
         self.exc_instance = None
 
-    # -- checkpoint protocol --------------------------------------------
-    def snapshot_state(self, ctx) -> dict:
-        """Encode every slot; uops by seq, the program by image index."""
-        return {
-            "tid": self.tid,
-            "state": self.state.value,
-            "prog": ctx.program_index(self.program),
-            "arch": self.arch.snapshot_state(ctx),
-            "int_map": [ctx.uop_ref(u) for u in self.int_map],
-            "fp_map": [ctx.uop_ref(u) for u in self.fp_map],
-            "rob": [ctx.uop_ref(u) for u in self.rob],
-            "fetch_buffer": [ctx.uop_ref(u) for u in self.fetch_buffer],
-            "fetch_buffer_size": self.fetch_buffer_size,
-            "store_queue": [ctx.uop_ref(u) for u in self.store_queue],
-            "pc": self.pc,
-            "fetch_priv": self.fetch_priv,
-            "fetch_stall_until": self.fetch_stall_until,
-            "fetch_wait_uop": ctx.uop_ref(self.fetch_wait_uop),
-            "fetch_done": self.fetch_done,
-            "overfetch_after_reti": self.overfetch_after_reti,
-            "halted": self.halted,
-            "priv_regs": list(self.priv_regs),
-            "master_tid": self.master_tid,
-            "master_uop": ctx.uop_ref(self.master_uop),
-            "exc_instance": ctx.instance_ref(self.exc_instance),
-            "retired_user": self.retired_user,
-            "retired_handler": self.retired_handler,
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        if state["tid"] != self.tid:
-            raise ValueError(
-                f"thread snapshot tid {state['tid']} != context tid {self.tid}"
-            )
-        self.state = ThreadState(state["state"])
-        self.program = ctx.program_at(state["prog"])
-        self.arch.restore_state(state["arch"], ctx)
-        self.int_map = [ctx.resolve_uop(s) for s in state["int_map"]]
-        self.fp_map = [ctx.resolve_uop(s) for s in state["fp_map"]]
-        self.rob = deque(ctx.resolve_uop(s) for s in state["rob"])
-        self.fetch_buffer = deque(
-            ctx.resolve_uop(s) for s in state["fetch_buffer"]
-        )
-        self.fetch_buffer_size = state["fetch_buffer_size"]
-        self.store_queue = [ctx.resolve_uop(s) for s in state["store_queue"]]
-        self.pc = state["pc"]
-        self.fetch_priv = state["fetch_priv"]
-        self.fetch_stall_until = state["fetch_stall_until"]
-        self.fetch_wait_uop = ctx.resolve_uop(state["fetch_wait_uop"])
-        self.fetch_done = state["fetch_done"]
-        self.overfetch_after_reti = state["overfetch_after_reti"]
-        self.halted = state["halted"]
-        self.priv_regs = list(state["priv_regs"])
-        self.master_tid = state["master_tid"]
-        self.master_uop = ctx.resolve_uop(state["master_uop"])
-        self.exc_instance = ctx.resolve_instance(state["exc_instance"])
-        self.retired_user = state["retired_user"]
-        self.retired_handler = state["retired_handler"]
+    _SNAPSHOT_TRANSIENT = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Thread {self.tid} {self.state.value} pc={self.pc} rob={len(self.rob)}>"

@@ -174,110 +174,6 @@ class Uop:
             f" {self.state.name}>"
         )
 
-    # -- checkpoint protocol --------------------------------------------
-    #: ``inst`` is static program text, rebuilt from the thread's Program.
+    #: Checkpoints capture every slot but ``inst``, static program text
+    #: that a restored uop re-fetches from the program image.
     _SNAPSHOT_TRANSIENT = ("inst",)
-
-    def snapshot_state(self, ctx) -> dict:
-        """Encode every slot; object links become seq / id references.
-
-        Links on retired and squashed uops are pruned to ``None``: the
-        machine only ever reads their scalar results (``issued``,
-        ``finish_cycle``, ``value``, ``state``) after completion, and
-        pruning bounds the snapshot's reachable-uop closure at one hop
-        past the in-flight set instead of the whole dependence history.
-        """
-        live = self.in_flight
-        cp = self.checkpoint
-        consumers = self.consumers
-        return {
-            "seq": self.seq,
-            "thread_id": self.thread_id,
-            "pc": self.pc,
-            "prog": ctx.thread_program_ref(self.thread_id),
-            "state": int(self.state),
-            "renamed": self.renamed,
-            "fetch_cycle": self.fetch_cycle,
-            "avail_cycle": self.avail_cycle,
-            "insert_cycle": self.insert_cycle,
-            "min_sched_cycle": self.min_sched_cycle,
-            "issue_cycle": self.issue_cycle,
-            "finish_cycle": self.finish_cycle,
-            "issued": self.issued,
-            "pred_taken": self.pred_taken,
-            "pred_target": self.pred_target,
-            "checkpoint": None if cp is None else
-                [cp.ghr, cp.path, cp.ras.tos, cp.ras.top_value],
-            "actual_taken": self.actual_taken,
-            "actual_target": self.actual_target,
-            "src_a_uop": ctx.uop_ref(self.src_a_uop) if live else None,
-            "src_a_value": self.src_a_value,
-            "src_b_uop": ctx.uop_ref(self.src_b_uop) if live else None,
-            "src_b_value": self.src_b_value,
-            "value": self.value,
-            "eff_addr": self.eff_addr,
-            "waiting_fill": self.waiting_fill,
-            "exc_instance":
-                ctx.instance_ref(self.exc_instance) if live else None,
-            "linked_handler": self.linked_handler.tid
-                if live and self.linked_handler is not None else None,
-            "is_handler": self.is_handler,
-            "free_slot": self.free_slot,
-            "quickstarted": self.quickstarted,
-            "discard": self.discard,
-            "dyn_dest": self.dyn_dest,
-            "wait_count": self.wait_count,
-            "src_wake": self.src_wake,
-            "consumers": None if not live or consumers is None else
-                [ctx.uop_ref(c) for c in consumers],
-            "scheduled": self.scheduled,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict, ctx) -> "Uop":
-        """Rebuild scalars; links are patched by :meth:`link_state`."""
-        uop = cls(
-            state["seq"],
-            state["thread_id"],
-            state["pc"],
-            ctx.instruction_at(state["prog"], state["pc"]),
-        )
-        uop.state = UopState(state["state"])
-        uop.renamed = state["renamed"]
-        uop.fetch_cycle = state["fetch_cycle"]
-        uop.avail_cycle = state["avail_cycle"]
-        uop.insert_cycle = state["insert_cycle"]
-        uop.min_sched_cycle = state["min_sched_cycle"]
-        uop.issue_cycle = state["issue_cycle"]
-        uop.finish_cycle = state["finish_cycle"]
-        uop.issued = state["issued"]
-        uop.pred_taken = state["pred_taken"]
-        uop.pred_target = state["pred_target"]
-        uop.actual_taken = state["actual_taken"]
-        uop.actual_target = state["actual_target"]
-        uop.src_a_value = state["src_a_value"]
-        uop.src_b_value = state["src_b_value"]
-        uop.value = state["value"]
-        uop.eff_addr = state["eff_addr"]
-        uop.waiting_fill = state["waiting_fill"]
-        uop.is_handler = state["is_handler"]
-        uop.free_slot = state["free_slot"]
-        uop.quickstarted = state["quickstarted"]
-        uop.discard = state["discard"]
-        uop.dyn_dest = state["dyn_dest"]
-        uop.wait_count = state["wait_count"]
-        uop.src_wake = state["src_wake"]
-        uop.scheduled = state["scheduled"]
-        return uop
-
-    def link_state(self, state: dict, ctx) -> None:
-        """Second restore pass: resolve object references."""
-        self.checkpoint = ctx.make_branch_checkpoint(state["checkpoint"])
-        self.src_a_uop = ctx.resolve_uop(state["src_a_uop"])
-        self.src_b_uop = ctx.resolve_uop(state["src_b_uop"])
-        self.exc_instance = ctx.resolve_instance(state["exc_instance"])
-        self.linked_handler = ctx.resolve_thread(state["linked_handler"])
-        refs = state["consumers"]
-        self.consumers = (
-            None if refs is None else [ctx.resolve_uop(s) for s in refs]
-        )

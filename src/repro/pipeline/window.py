@@ -123,36 +123,5 @@ class InstructionWindow:
     def __len__(self) -> int:
         return len(self._uops)
 
-    # -- checkpoint protocol --------------------------------------------
-    #: ``sanitizer`` is reattached by the core; ``capacity`` is config
-    #: (encoded anyway so restore can validate geometry).
+    #: ``sanitizer`` is reattached by the core when enabled.
     _SNAPSHOT_TRANSIENT = ("sanitizer",)
-
-    def snapshot_state(self, ctx) -> dict:
-        return {
-            "capacity": self.capacity,
-            "uops": [
-                ctx.uop_ref(u)
-                for u in sorted(self._uops, key=lambda u: u.seq)
-            ],
-            "occupancy": self._occupancy,
-            "reservations": [
-                [k, self._reservations[k]] for k in sorted(self._reservations)
-            ],
-            "reserved_total": self._reserved_total,
-            "peak_occupancy": self.peak_occupancy,
-            "tail_squashes": self.tail_squashes,
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        if state["capacity"] != self.capacity:
-            raise ValueError(
-                f"window snapshot capacity {state['capacity']} != "
-                f"configured {self.capacity}"
-            )
-        self._uops = {ctx.resolve_uop(s) for s in state["uops"]}
-        self._occupancy = state["occupancy"]
-        self._reservations = {k: v for k, v in state["reservations"]}
-        self._reserved_total = state["reserved_total"]
-        self.peak_occupancy = state["peak_occupancy"]
-        self.tail_squashes = state["tail_squashes"]

@@ -268,21 +268,25 @@ def expand_sweep(payload: dict) -> tuple[list[CellSpec], dict]:
         max_cycles = _check_length(
             payload.get("max_cycles", 8_000_000), "max_cycles"
         )
-        specs = []
-        for workload in workloads:
-            checked = _check_workload(workload)
-            for overrides in configs:
-                for mech in mechanisms:
-                    config = config_from_dict({**overrides, "mechanism": mech})
-                    specs.append(
-                        CellSpec(
-                            workload=checked,
-                            config=config,
-                            user_insts=user_insts,
-                            warmup_insts=warmup,
-                            max_cycles=max_cycles,
-                        )
-                    )
+        checked = [_check_workload(workload) for workload in workloads]
+        # One config per (override, mechanism), shared by every workload:
+        # nothing mutates a config in place.
+        grid = [
+            config_from_dict({**overrides, "mechanism": mech})
+            for overrides in configs
+            for mech in mechanisms
+        ]
+        specs = [
+            CellSpec(
+                workload=workload,
+                config=config,
+                user_insts=user_insts,
+                warmup_insts=warmup,
+                max_cycles=max_cycles,
+            )
+            for workload in checked
+            for config in grid
+        ]
     limit = max_request_cells()
     if limit and len(specs) > limit:
         raise SweepRequestError(

@@ -35,6 +35,8 @@ class SimStats:
     cause_squashes: dict[str, int] = field(default_factory=dict)
     cause_handler_cycles: dict[str, int] = field(default_factory=dict)
 
+    _SNAPSHOT_TRANSIENT = ()
+
     @property
     def retired_total(self) -> int:
         return self.retired_user + self.retired_handler

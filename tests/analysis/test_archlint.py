@@ -29,7 +29,7 @@ class TestFixtureTree:
     def test_every_rule_fires_once(self):
         found = codes_by_file(check_tree(BADARCH))
         assert found["bad_layering.py"] == {"layering"}
-        assert found["uop.py"] == {"missing-slots", "missing-snapshot"}
+        assert found["uop.py"] == {"missing-slots"}
         assert found["nondet.py"] == {
             "nondet-time",
             "nondet-random",

@@ -107,6 +107,20 @@ def test_future_version_rejected_not_migrated(tmp_path):
         read_meta(path)
 
 
+def test_version_one_files_are_rejected(tmp_path):
+    """Version 1 bodies came from per-class hand-written snapshot
+    methods; the field walker's bodies are version 2."""
+    path = tmp_path / "a.ckpt"
+    write_checkpoint(path, BODY)
+    raw = path.read_bytes()
+    newline = raw.find(b"\n")
+    header = json.loads(raw[:newline])
+    header["version"] = 1
+    path.write_bytes(json.dumps(header).encode() + raw[newline:])
+    with pytest.raises(CheckpointVersionError, match="version 1"):
+        read_checkpoint(path)
+
+
 def test_non_dict_body_rejected(tmp_path):
     import hashlib
 

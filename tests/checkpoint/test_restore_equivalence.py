@@ -22,11 +22,18 @@ import dataclasses
 import json
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 
+from repro.checkpoint.format import _canonical_body
+from repro.checkpoint.state import _layout, capture_machine, restore_machine
+from repro.engine import core_class
+from repro.faults.fuzz import arch_digest
+from repro.scenarios.spec import generate_matrix
 from repro.sim.config import MachineConfig
 from repro.sim.simulator import Simulator
+from repro.workloads.builder import make_program
 from repro.workloads.suite import build_benchmark
 
 MECHANISMS = ("traditional", "multithreaded", "hardware", "quickstart", "perfect")
@@ -120,7 +127,7 @@ def test_snapshot_refused_mid_step():
     sim.core.run(200, 10_000_000)
     sim.core._exec_heap = []  # simulate being inside step()
     with pytest.raises(RuntimeError, match="between step"):
-        sim.core.snapshot_state(None)
+        capture_machine(sim)
     sim.core._exec_heap = None
 
 
@@ -138,3 +145,102 @@ def test_restore_rejects_wrong_thread_count(tmp_path):
 
     with pytest.raises((CheckpointError, ValueError)):
         other.restore_checkpoint(path)
+
+
+# ----------------------------------------------------------------------
+# Beyond DTLB misses: every scenario cause and a fault plan, mid-run.
+# ----------------------------------------------------------------------
+ALL_CAUSES = next(
+    spec for spec in generate_matrix(seed=1999) if spec.name == "all-nested"
+)
+FAULTS = "seed:5,tlb_evict:30,pte_corrupt:60,handler_fault:45"
+
+
+def make_scenario(mechanism: str, engine: str) -> Simulator:
+    case = ALL_CAUSES.case()
+    program = make_program(
+        case.program.source, regions=case.program.regions, scenario_causes=True
+    )
+    config = MachineConfig(
+        mechanism=mechanism, faults=FAULTS, **case.config_overrides
+    )
+    return Simulator(program, config, core_cls=core_class(engine))
+
+
+def run_until(sim: Simulator, stop_cycle: int) -> None:
+    """Drive the machine to ``stop_cycle`` or to halt, as the fuzzer does."""
+    core = sim.core
+    users = [t for t in core.threads if t.program is not None]
+    watch = [(t, 1 << 40) for t in users]
+    while core.cycle < stop_cycle and not all(t.halted for t in users):
+        before = core.cycle
+        core.run_to(watch, stop_cycle)
+        if core.cycle == before and not all(t.halted for t in users):
+            core.step()
+
+
+def outcome(sim: Simulator) -> tuple:
+    return (
+        arch_digest(sim),
+        sim.core.cycle,
+        sim.core.stats.as_dict(),
+        dict(sim.core.faults.counts),
+    )
+
+
+def captured_types_match(saved, restored, where: str, seen: set) -> None:
+    """Every captured field of ``restored`` has its ``saved`` twin's type."""
+    assert type(restored) is type(saved), where
+    if (id(saved), id(restored)) in seen:
+        return
+    seen.add((id(saved), id(restored)))
+    if isinstance(saved, (list, tuple, deque)):
+        for i, pair in enumerate(zip(saved, restored)):
+            captured_types_match(*pair, f"{where}[{i}]", seen)
+    elif isinstance(saved, set):
+        assert len(saved) == len(restored), where
+        assert set(map(type, saved)) == set(map(type, restored)), where
+    elif isinstance(saved, dict):
+        assert list(saved) == list(restored), where  # insertion order kept
+        for key in saved:
+            captured_types_match(saved[key], restored[key], f"{where}[{key!r}]", seen)
+    elif hasattr(type(saved), "_SNAPSHOT_TRANSIENT"):
+        slots, transient = _layout(type(saved))
+        names = [n for n in slots if hasattr(saved, n)]
+        names += [n for n in getattr(saved, "__dict__", {}) if n not in transient]
+        for name in names:
+            captured_types_match(
+                getattr(saved, name),
+                getattr(restored, name),
+                f"{where}.{name}",
+                seen,
+            )
+
+
+@pytest.mark.parametrize("engine", ["reference", "fused"])
+def test_all_cause_restore_matches_straight_through(engine):
+    """ITLB, alignment, emulation-trap and injector state restore exactly:
+    a snapshot at half the straight run's cycles, restored into a fresh
+    machine and run to halt, ends where the straight run ends."""
+    for mechanism in MECHANISMS:
+        straight = make_scenario(mechanism, engine)
+        run_until(straight, 10_000_000)
+        assert all(t.halted for t in straight.core.threads if t.program), mechanism
+
+        source = make_scenario(mechanism, engine)
+        run_until(source, straight.core.cycle // 2)
+        body = capture_machine(source)
+
+        restored = make_scenario(mechanism, engine)
+        restore_machine(restored, json.loads(json.dumps(body)))
+        assert _canonical_body(capture_machine(restored)) == _canonical_body(body), (
+            f"{mechanism}: recapture after restore is not a fixpoint"
+        )
+        captured_types_match(source.core, restored.core, "core", set())
+        if source.core.mechanism is not None:
+            captured_types_match(
+                source.core.mechanism, restored.core.mechanism, "mechanism", set()
+            )
+
+        run_until(restored, 10_000_000)
+        assert outcome(restored) == outcome(straight), mechanism

@@ -194,7 +194,7 @@ class TestHoisting:
         hoisted = {c[0] for text in texts.values() for c in _hoisted(text)}
         assert {"config", "stats", "threads", "window", "hierarchy"} <= hoisted
         for attr in hoisted:
-            assert bound_in.get(attr, set()) <= {"__init__", "restore_state"}, attr
+            assert bound_in.get(attr, set()) <= {"__init__"}, attr
 
     def test_nothing_is_hoisted_through_a_maybe_none_object(self, generated):
         *_, texts = generated

@@ -1,10 +1,6 @@
 """Unit tests for the exception-architecture predictors."""
 
-from repro.exceptions.predictors import (
-    ExceptionTypePredictor,
-    HandlerLengthPredictor,
-    SpawnPredictor,
-)
+from repro.exceptions.predictors import ExceptionTypePredictor, SpawnPredictor
 
 
 class TestExceptionTypePredictor:
@@ -38,23 +34,6 @@ class TestExceptionTypePredictor:
         for _ in range(100):
             pred.record("x")
         assert pred._counters["x"] == 3
-
-
-class TestHandlerLengthPredictor:
-    def test_default_before_history(self):
-        pred = HandlerLengthPredictor()
-        assert pred.predict("dtlb_miss", default=10) == 10
-
-    def test_last_value(self):
-        pred = HandlerLengthPredictor()
-        pred.record("dtlb_miss", 12)
-        pred.record("dtlb_miss", 14)
-        assert pred.predict("dtlb_miss", default=10) == 14
-
-    def test_types_independent(self):
-        pred = HandlerLengthPredictor()
-        pred.record("a", 5)
-        assert pred.predict("b", default=9) == 9
 
 
 class TestSpawnPredictor:

@@ -193,9 +193,12 @@ def _tiny_cache():
 
 
 def _state(cache):
-    snap = cache.snapshot_state(None)
+    sets = [
+        [[tag, last_use, tag in cache._dirty] for tag, last_use in lines.items()]
+        for lines in cache._sets
+    ]
     s = cache.stats
-    return snap["sets"], snap["use_clock"], (s.hits, s.misses, s.evictions, s.writebacks)
+    return sets, cache._use_clock, (s.hits, s.misses, s.evictions, s.writebacks)
 
 
 class TestPerLineReference:

@@ -1,7 +1,15 @@
 """Unit tests for the dynamic-instruction record."""
 
+import gc
+
+import pytest
+
+from repro.engine import core_class
 from repro.isa.instructions import Instruction, Opcode
 from repro.pipeline.uop import Uop, UopState
+from repro.sim.config import MachineConfig
+from repro.sim.simulator import Simulator
+from repro.workloads.suite import build_benchmark
 
 
 def _uop(op=Opcode.ADD, seq=0, **kw):
@@ -62,3 +70,27 @@ class TestLifecycle:
 
     def test_repr_is_stable(self):
         assert "add" in repr(_uop())
+
+
+@pytest.mark.parametrize("engine", ["reference", "fused"])
+def test_retired_and_squashed_uops_hold_no_links(engine):
+    """A dead uop's dataflow links are cleared at retire and squash, so
+    no completed uop keeps its producers (or a cycle) alive."""
+    sim = Simulator(
+        build_benchmark("gcc"),
+        MachineConfig(mechanism="traditional"),
+        core_cls=core_class(engine),
+    )
+    watch = [(t, 1 << 40) for t in sim.core.threads if t.program is not None]
+    dead = {UopState.RETIRED: 0, UopState.SQUASHED: 0}
+    for stop in range(200, 3000, 200):
+        sim.core.run_to(watch, stop)
+        gc.collect()
+        for obj in gc.get_objects():
+            if type(obj) is Uop and obj.state in dead:
+                dead[obj.state] += 1
+                assert obj.src_a_uop is None and obj.src_b_uop is None, obj
+                assert obj.consumers is None, obj
+    # Live consumers still reach retired producers, and live producers'
+    # consumer lists reach squashed uops: both kinds were inspected.
+    assert all(dead.values()), dead

@@ -19,8 +19,9 @@ from repro.serve.service import (
     spec_to_dict,
     summarize,
 )
+from repro.serve import service
 from repro.serve.store import ContentStore
-from repro.sim.config import FUPool, MachineConfig
+from repro.sim.config import MECHANISMS, FUPool, MachineConfig
 from repro.sim.parallel import run_cell
 from tests.serve.helpers import make_grid, make_service, make_spec
 
@@ -90,6 +91,27 @@ class TestExpandSweep:
             "traditional",
             "multithreaded",
         }
+
+    def test_grid_builds_one_config_per_override_and_mechanism(
+        self, monkeypatch
+    ):
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return config_from_dict(data)
+
+        monkeypatch.setattr(service, "config_from_dict", counting)
+        specs, _ = expand_sweep(
+            {
+                "workloads": ["compress", "gcc", "murphi", "vortex"],
+                "mechanisms": list(MECHANISMS),
+            }
+        )
+        assert len(specs) == 20
+        assert len(calls) == 5
+        assert [s.config.mechanism for s in specs[:5]] == list(MECHANISMS)
+        assert specs[0].config is specs[5].config
 
     def test_explicit_cells(self):
         spec = make_spec()
