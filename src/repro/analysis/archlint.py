@@ -74,7 +74,7 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     # sim -> faults is the lazily-imported spec validation in
     # MachineConfig and the worker-kill hook in parallel.py.  sim ->
     # engine is the lazily-imported core-class registry (run_cell,
-    # CellSpec's default kernel, perfbench).
+    # CellSpec's default kernel).
     "sim": frozenset(
         {
             "isa",
@@ -202,9 +202,9 @@ SLOTS_REQUIRED: dict[str, frozenset[str]] = {
 
 #: Modules whose behaviour must be bit-reproducible across processes:
 #: all of pipeline, plus the model half of sim.  parallel.py (process
-#: management) and perfbench.py (wall-clock harness) are exempt.
+#: management) is exempt.
 _DETERMINISTIC_SIM = frozenset(
-    {"simulator.py", "config.py", "stats.py", "metrics.py", "trace.py"}
+    {"simulator.py", "config.py", "stats.py", "metrics.py"}
 )
 
 _NONDET_MODULES = frozenset({"time", "random"})

@@ -11,7 +11,7 @@ one simulator either way (:func:`repro.sim.parallel.run_cell`):
     ``run_cell`` (the experiments, the pool runner, the sweep service).
     Its speed relative to the reference kernel is the
     ``engine.fused_speedup`` metric of the end-to-end benchmark
-    (``benchmarks/e2e/README.md``) and the ``BENCH_engine.json`` ledger.
+    (``benchmarks/e2e/README.md``), recorded in ``BENCH_e2e.json``.
 ``reference``
     The unmodified :class:`~repro.pipeline.core.SMTCore` kernel: the
     oracle the fused kernel is differentially verified against

@@ -17,8 +17,6 @@ Subscribers shipped here:
 * :class:`~repro.obs.chrome.ChromeTraceExporter` -- Chrome
   ``trace_event`` JSON, one track per hardware thread, handler episodes
   as colored spans (load in ``chrome://tracing`` or Perfetto).
-* :class:`~repro.sim.trace.PipelineTracer` -- the legacy typed-event
-  recorder, now a plain subscriber.
 
 ``python -m repro.obs`` (or the ``repro-trace`` script) runs one
 workload with tracing on and writes the trace plus a run manifest.

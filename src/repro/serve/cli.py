@@ -19,9 +19,7 @@ Subcommands:
     served entirely warm with payloads bit-identical to serial
     in-process runs, and a persistent job survives SIGKILL of its node
     with zero lost and zero duplicated cells.  It reports cells/sec,
-    dedupe ratio, store hit-rate and p50/p99 sweep latency, and with
-    ``--baseline BENCH_serve.json --max-drop 0.2`` fails on a
-    regression (the nightly ``loadgen-bench`` CI job).
+    dedupe ratio, store hit-rate and p50/p99 sweep latency.
 
 Ops knobs (``REPRO_SERVE_*``) are documented in ``docs/SERVICE.md``;
 flags override the environment.  ``--engine`` pins ``REPRO_ENGINE``
@@ -217,12 +215,11 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    gated = f", within {args.max_drop:.0%} of {args.baseline}" if args.baseline else ""
     print(
         f"repro-serve smoke: OK ({args.clients} clients x {args.reps} sweeps "
         f"on {args.nodes} node(s), {report.cells_per_sec} cells/sec, "
         f"{report.cells_simulated} of {report.cells_requested} cells "
-        f"simulated{gated})"
+        "simulated)"
     )
     return 0
 
@@ -310,15 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         "--artifacts", default=None, metavar="DIR",
         help="write report.json, the nodes' stats, the job trace and "
         "each client's NDJSON lines here",
-    )
-    smoke.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="committed report to gate cells/sec and store hit-rate "
-        "against (e.g. BENCH_serve.json)",
-    )
-    smoke.add_argument(
-        "--max-drop", type=float, default=0.2,
-        help="max tolerated drop vs --baseline (default 0.2)",
     )
     smoke.set_defaults(func=_cmd_smoke)
 

@@ -22,9 +22,6 @@ sweep service's contract, for any N >= 1 nodes.  It boots N real
    and restarted; the job finishes with zero lost and zero duplicated
    cells, each under the locally computed content address.
 
-The report can be gated against a committed one (``BENCH_serve.json``)
-with :func:`gate`, the ``--baseline/--max-drop`` pattern perfbench uses.
-
 Every run is hermetic: the engine backend is resolved once
 (``--engine``, else ``REPRO_ENGINE``, else the fused kernel) and
 pinned, with ``REPRO_CACHE=1``, into this process and every node before
@@ -294,7 +291,7 @@ def hermetic_env(engine: str | None) -> dict[str, str]:
 
 @dataclass
 class SmokeReport:
-    """What one harness run saw; ``BENCH_serve.json`` is a committed one."""
+    """What one harness run saw."""
 
     kind: str = "repro-serve-smoke"
     engine_backend: str = ""
@@ -335,9 +332,9 @@ class SmokeReport:
 def run_smoke(args) -> SmokeReport:
     """One harness run (the five steps in the module docstring) over the
     ``repro-serve smoke`` flags in ``args``; ``failures`` lists every
-    failed check, and the ``--baseline`` gate's.
+    failed check.
 
-    A bad engine, grid or baseline file raises :class:`ValueError` or
+    A bad engine or grid raises :class:`ValueError` or
     :class:`OSError` before any node boots; a node that never boots
     raises :class:`ClusterError`.
     """
@@ -352,9 +349,6 @@ def run_smoke(args) -> SmokeReport:
         "include_results": False,
     }
     specs, _ = expand_sweep(payload)
-    baseline = (
-        json.loads(Path(args.baseline).read_text()) if args.baseline else None
-    )
     root = Path(args.cluster_dir or tempfile.mkdtemp(prefix="repro-serve-smoke-"))
     report = SmokeReport(
         engine_backend=env["REPRO_ENGINE"],
@@ -381,8 +375,6 @@ def run_smoke(args) -> SmokeReport:
             job_trace = _kill_and_resume(report, cluster, specs, root)
         except ServeError as exc:
             report.check(False, str(exc))
-    if baseline is not None:
-        report.failures += gate(dataclasses.asdict(report), baseline, args.max_drop)
     if args.artifacts:
         _write_artifacts(
             Path(args.artifacts),
@@ -606,26 +598,3 @@ def _write_artifacts(
         (directory / f"{name}.json").write_text(
             json.dumps(blob, indent=2, sort_keys=True) + "\n"
         )
-
-
-def gate(report: dict, baseline: dict, max_drop: float) -> list[str]:
-    """Regression check vs a committed baseline (perfbench's
-    ``--baseline/--max-drop`` pattern); returns failure messages."""
-    failures = []
-    base = baseline.get("cells_per_sec")
-    fresh = report.get("cells_per_sec")
-    if not isinstance(base, (int, float)) or base <= 0:
-        failures.append("baseline carries no usable cells_per_sec")
-    elif fresh < base * (1 - max_drop):
-        failures.append(
-            f"cells/sec regressed past {max_drop:.0%}: "
-            f"{fresh:.1f} vs baseline {base:.1f}"
-        )
-    base_hit = baseline.get("store_hit_rate")
-    if isinstance(base_hit, (int, float)) and base_hit > 0:
-        if report.get("store_hit_rate", 0) < base_hit * (1 - max_drop):
-            failures.append(
-                f"store hit-rate regressed past {max_drop:.0%}: "
-                f"{report.get('store_hit_rate')} vs baseline {base_hit}"
-            )
-    return failures

@@ -4,12 +4,6 @@ from repro.sim.config import FUPool, MachineConfig
 from repro.sim.metrics import PenaltyResult, penalty_per_miss, run_pair
 from repro.sim.simulator import SimResult, Simulator
 from repro.sim.stats import SimStats
-from repro.sim.trace import (
-    ExceptionEpisode,
-    PipelineTracer,
-    TraceEvent,
-    group_handler_episodes,
-)
 
 __all__ = [
     "FUPool",
@@ -20,8 +14,4 @@ __all__ = [
     "SimResult",
     "Simulator",
     "SimStats",
-    "PipelineTracer",
-    "TraceEvent",
-    "ExceptionEpisode",
-    "group_handler_episodes",
 ]

@@ -110,6 +110,34 @@ class TestCoreEmission:
         assert first_exc < first_spawn
         assert recorder.events[first_exc].exc_type == "dtlb_miss"
 
+    @pytest.mark.parametrize(
+        "mechanism, on_tid0", [("multithreaded", False), ("traditional", True)]
+    )
+    def test_common_case_handler_retires_ten_instructions(
+        self, data_base, mechanism, on_tid0
+    ):
+        # A traditional trap runs its handler on the faulting thread,
+        # tid 0; the multithreaded mechanism on an exception thread.
+        sim = _miss_sim(data_base, mechanism)
+        recorder = attach_bus(sim.core).subscribe(_Recorder())
+        run_to_halt(sim)
+        handler = [e for e in recorder.events if e.kind == "retire" and e.is_handler]
+        ops = [e.op for e in handler]
+        assert len(ops) == 10
+        assert ops.count("reti") == 1 and ops[-1] == "reti"
+        assert ({e.tid for e in handler} == {0}) == on_tid0
+
+    def test_core_subscribers_detach_in_any_order(self, data_base):
+        sim = _miss_sim(data_base, "multithreaded")
+        bus = attach_bus(sim.core)
+        outer = bus.subscribe(_Recorder())
+        inner = bus.subscribe(_Recorder())
+        bus.unsubscribe(outer)  # not LIFO
+        run_to_halt(sim)
+        bus.unsubscribe(inner)
+        assert not outer.events
+        assert any(e.kind == "retire" for e in inner.events)
+
     def test_cycles_monotonic(self, data_base):
         sim = _miss_sim(data_base, "traditional")
         recorder = attach_bus(sim.core).subscribe(_Recorder())

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.serve.cli import main
-from repro.serve.cluster import gate
 from tests.serve.helpers import SRC_DIR
 
 TINY = ["--workers", "2", "--insts", "300", "--warmup", "80"]
@@ -90,22 +89,3 @@ def test_bad_requests_and_flags_exit_2_before_any_node_boots(
     assert not list(harness_tmp.iterdir())
 
 
-class TestGate:
-    def test_a_drop_past_the_bound_fails(self):
-        (failure,) = gate({"cells_per_sec": 70.0}, {"cells_per_sec": 100.0}, 0.2)
-        assert "regressed past 20%" in failure
-
-    def test_a_baseline_without_cells_per_sec_fails(self):
-        assert gate({"cells_per_sec": 70.0}, {"p50_ms": 1.0}, 0.2) == [
-            "baseline carries no usable cells_per_sec"
-        ]
-
-    def test_the_committed_baseline_passes_within_the_bound(self):
-        baseline = json.loads(
-            (Path(SRC_DIR).parent / "BENCH_serve.json").read_text()
-        )
-        fresh = {
-            "cells_per_sec": baseline["cells_per_sec"] * 0.85,
-            "store_hit_rate": baseline["store_hit_rate"] * 0.85,
-        }
-        assert gate(fresh, baseline, 0.2) == []
