@@ -159,3 +159,14 @@ class TestZeroOverhead:
         attach_bus(observed.core).subscribe(_Recorder())
         r_observed = observed.run(user_insts=1500, warmup_insts=200)
         assert dataclasses.asdict(r_plain) == dataclasses.asdict(r_observed)
+
+    def test_halt_cycle_identical_with_bus_on(self, data_base):
+        # Stepped cycle by cycle to the halt, with a handler thread
+        # spawned and spliced on the way, the observed run ends on the
+        # same cycle as the plain one.
+        cycles_plain = run_to_halt(_miss_sim(data_base, "multithreaded"))
+        observed = _miss_sim(data_base, "multithreaded")
+        recorder = attach_bus(observed.core).subscribe(_Recorder())
+        assert run_to_halt(observed) == cycles_plain
+        kinds = {e.kind for e in recorder.events}
+        assert {"retire", "issue", "spawn", "splice"} <= kinds
