@@ -12,7 +12,9 @@ newline-delimited JSON back, and expose counters.  Routes:
     headline metrics plus, unless the request set
     ``"include_results": false``, the full pickled
     :class:`~repro.sim.simulator.SimResult` (base64) so clients
-    reconstruct bit-identical results.
+    reconstruct bit-identical results.  The lines of cells that resolve
+    together -- a request's store hits, or a set of simulations that
+    finish at once -- leave in one chunk and one socket write.
 ``GET /stats``
     Service + store counters as JSON (hits/misses/evictions/in-flight
     dedupes, pool shape, uptime; cluster nodes add ring + queue blocks).
@@ -33,7 +35,7 @@ Cluster-mode routes (docs/SERVICE.md "Cluster mode"):
 
 Malformed specs get a 400 with a JSON error body; an internal failure
 mid-stream becomes a terminal ``{"kind": "error"}`` line (the status
-line has already been sent).  One connection handles one request
+line may already have been sent).  One connection handles one request
 (``Connection: close``), which keeps the protocol state machine
 trivial -- concurrency comes from asyncio, not keep-alive.
 """
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from typing import Iterable
 
 from repro.serve.queue import JobError
 from repro.serve.service import (
@@ -57,6 +60,10 @@ from repro.serve.service import (
 #: Largest accepted request body (sweep specs are small; 8 MiB leaves
 #: room for huge explicit cell lists without inviting memory abuse).
 MAX_BODY = 8 * 1024 * 1024
+
+#: A chunk of an NDJSON response is written once it holds this many
+#: bytes, so a 4,096-cell response never sits whole in memory.
+CHUNK_BYTES = 64 * 1024
 
 _REASONS = {
     200: "OK",
@@ -201,33 +208,23 @@ class SweepHTTPServer:
             await self._respond_json(writer, 400, {"error": str(exc)})
             return
 
-        await self._send_headers(
-            writer,
-            200,
-            {
-                "Content-Type": "application/x-ndjson",
-                "Transfer-Encoding": "chunked",
-            },
-        )
+        out = _LineStream(writer)
+        include = options["include_results"]
         outcomes: list[CellOutcome | None] = [None] * len(specs)
         try:
-            async for index, outcome in self.service.stream_cells(
+            async for batch in self.service.stream_cells(
                 specs, warm=options["warm"]
             ):
-                outcomes[index] = outcome
-                await self._send_chunk(
-                    writer,
-                    cell_line(index, outcome, options["include_results"]),
+                for index, outcome in batch:
+                    outcomes[index] = outcome
+                await out.send(
+                    cell_line(index, outcome, include)
+                    for index, outcome in batch
                 )
-            await self._send_chunk(
-                writer, summarize([o for o in outcomes if o is not None])
-            )
+            last = summarize([o for o in outcomes if o is not None])
         except Exception as exc:  # noqa: BLE001 - stream must terminate
-            await self._send_chunk(
-                writer,
-                {"kind": "error", "error": f"{type(exc).__name__}: {exc}"},
-            )
-        await self._end_chunks(writer)
+            last = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
+        await out.finish(last)
 
     # -- cluster routes --------------------------------------------------
     async def _handle_cell(
@@ -253,10 +250,10 @@ class SweepHTTPServer:
             return
         try:
             outcome = None
-            async for _, outcome in self.service.stream_cells(
+            async for batch in self.service.stream_cells(
                 [spec], forward=False
             ):
-                pass
+                [(_, outcome)] = batch
             assert outcome is not None
         except Exception as exc:  # noqa: BLE001 - peer must get an answer
             await self._respond_json(
@@ -309,28 +306,18 @@ class SweepHTTPServer:
                 )
                 return
             include = "results=0" not in query
-            # Status is resolved before the stream starts so an unknown
-            # id is a clean 404, not a broken chunk stream.
-            self.service.job_state(job_id)
-            await self._send_headers(
-                writer,
-                200,
-                {
-                    "Content-Type": "application/x-ndjson",
-                    "Transfer-Encoding": "chunked",
-                },
-            )
+            # Read before the stream starts, so an unknown id is a clean
+            # 404, not a broken chunk stream.
+            found, last = await self.service.job_results(job_id)
+            out = _LineStream(writer)
             try:
-                async for line in self.service.stream_job_results(
-                    job_id, include_results=include
-                ):
-                    await self._send_chunk(writer, line)
-            except Exception as exc:  # noqa: BLE001 - stream must terminate
-                await self._send_chunk(
-                    writer,
-                    {"kind": "error", "error": f"{type(exc).__name__}: {exc}"},
+                await out.send(
+                    cell_line(index, outcome, include)
+                    for index, outcome in found
                 )
-            await self._end_chunks(writer)
+            except Exception as exc:  # noqa: BLE001 - stream must terminate
+                last = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
+            await out.finish(last)
         except (JobError, KeyError):
             await self._respond_json(
                 writer, 404, {"error": f"no job {job_id!r}"}
@@ -340,42 +327,73 @@ class SweepHTTPServer:
 
     # -- wire helpers ----------------------------------------------------
     @staticmethod
-    async def _send_headers(
-        writer: asyncio.StreamWriter, status: int, headers: dict[str, str]
-    ) -> None:
-        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"]
-        lines += [f"{k}: {v}" for k, v in headers.items()]
-        lines.append("Connection: close")
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-        await writer.drain()
-
-    @staticmethod
-    async def _send_chunk(writer: asyncio.StreamWriter, obj: dict) -> None:
-        data = (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
-        writer.write(f"{len(data):x}\r\n".encode("latin-1"))
-        writer.write(data)
-        writer.write(b"\r\n")
-        await writer.drain()
-
-    @staticmethod
-    async def _end_chunks(writer: asyncio.StreamWriter) -> None:
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-
     async def _respond_json(
-        self, writer: asyncio.StreamWriter, status: int, obj: dict
+        writer: asyncio.StreamWriter, status: int, obj: dict
     ) -> None:
-        data = (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
-        await self._send_headers(
-            writer,
-            status,
+        """Headers and body in one write."""
+        data = _line(obj)
+        writer.write(
+            _head(
+                status,
+                {
+                    "Content-Type": "application/json",
+                    "Content-Length": str(len(data)),
+                },
+            )
+            + data
+        )
+        await writer.drain()
+
+
+def _head(status: int, headers: dict[str, str]) -> bytes:
+    """The status line and headers of a response."""
+    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"]
+    lines += [f"{k}: {v}" for k, v in headers.items()]
+    lines.append("Connection: close")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+def _line(obj: dict) -> bytes:
+    """One NDJSON line."""
+    return (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
+
+
+class _LineStream:
+    """A 200 NDJSON response, chunked, in which every write is whole
+    chunks: the status line and headers ride on the first write, the
+    lines of one :meth:`send` form one chunk (a new one each time it
+    reaches :data:`CHUNK_BYTES`), and the last line and the terminating
+    chunk share the final write."""
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.head = _head(
+            200,
             {
-                "Content-Type": "application/json",
-                "Content-Length": str(len(data)),
+                "Content-Type": "application/x-ndjson",
+                "Transfer-Encoding": "chunked",
             },
         )
-        writer.write(data)
-        await writer.drain()
+        self.chunk = bytearray()
+
+    async def send(self, lines: Iterable[dict]) -> None:
+        for line in lines:
+            self.chunk += _line(line)
+            if len(self.chunk) >= CHUNK_BYTES:
+                await self._write()
+        if self.chunk:
+            await self._write()
+
+    async def finish(self, last: dict) -> None:
+        self.chunk += _line(last)
+        await self._write(b"0\r\n\r\n")
+
+    async def _write(self, tail: bytes = b"") -> None:
+        data = b"%s%x\r\n%s\r\n%s" % (self.head, len(self.chunk), self.chunk, tail)
+        self.head = b""
+        self.chunk = bytearray()
+        self.writer.write(data)
+        await self.writer.drain()
 
 
 class _HTTPError(Exception):

@@ -2,10 +2,15 @@
 
 :class:`ContentStore` promotes the fingerprint-keyed
 :class:`~repro.sim.parallel.ResultCache` into a proper store: the same
-on-disk layout (one fsynced, rename-published pickle plus a JSON
-manifest per cell, addressed by :attr:`~repro.sim.parallel.CellSpec.key`:
-the sha-256 of the spec -- which carries its fault plan and kernel --
-and the source fingerprint), but with
+on-disk layout (one fsynced, rename-published
+:class:`~repro.sim.parallel.CellEntry` plus a JSON manifest per cell,
+addressed by :attr:`~repro.sim.parallel.CellSpec.key`: the sha-256 of
+the spec -- which carries its fault plan and kernel -- and the source
+fingerprint), but with
+
+* **reads that decode nothing** -- :meth:`ContentStore.get` and
+  :meth:`ContentStore.read` return the entry's header and pickled
+  payload as read, checksum verified, so a hit costs one file read;
 
 * a **size bound** -- ``max_entries`` / ``max_bytes`` (or the
   ``REPRO_SERVE_CACHE_ENTRIES`` / ``REPRO_SERVE_CACHE_MB`` knobs) --
@@ -19,7 +24,7 @@ and the source fingerprint), but with
   in this process and writes nothing to disk, and files another
   process wrote are ordered by their write time, oldest first;
 * reads by content address (:meth:`ContentStore.read`), which is how a
-  job's results stream finds the cells its journal names.
+  job's results find the cells its journal names.
 
 Because the layout and addressing are identical to ``ResultCache``, the
 service's store and the parallel runner's cache are the *same* cache: a
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.sim.parallel import CellSpec, ResultCache
+from repro.sim.parallel import CellEntry, CellSpec, ResultCache, read_entry
 from repro.sim.simulator import SimResult
 
 #: What a content address looks like (the 40-hex-digit sha-256 prefix
@@ -93,7 +98,7 @@ class ContentStore(ResultCache):
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = StoreStats()
-        #: Pickle names this process has read or written, least
+        #: Entry names this process has read or written, least
         #: recent first.
         self._lru: OrderedDict[str, None] = OrderedDict()
         #: Cluster identity block embedded in manifests (node id plus
@@ -103,37 +108,41 @@ class ContentStore(ResultCache):
 
     # ------------------------------------------------------------------
     def key(self, spec: CellSpec) -> str:
-        """The cell's content address (the hash the pickle is filed
+        """The cell's content address (the hash the entry is filed
         under); in-flight dedupe and ring placement both key on this."""
         return spec.key
 
-    def get(self, spec: CellSpec) -> SimResult | None:
-        result = super().get(spec)
-        if result is None:
+    def get(self, spec: CellSpec) -> CellEntry | None:
+        """The cell's entry, undecoded, or ``None`` on a miss (absent,
+        damaged, or the cache is disabled)."""
+        path = self._path(spec)
+        entry = read_entry(path) if self.enabled() else None
+        if entry is None:
             self.stats.misses += 1
         else:
             self.stats.hits += 1
-            self._touch(self._path(spec).name)
-        return result
+            self._touch(path.name)
+        return entry
 
-    def put(self, spec: CellSpec, result: SimResult) -> None:
+    def put(self, spec: CellSpec, result: SimResult) -> CellEntry | None:
         if not self.enabled():
-            return
+            return None
         # Counted before the write so the manifest published inside it
         # (which embeds the counters) already reflects this put.
         self.stats.puts += 1
-        super().put(spec, result)
+        entry = super().put(spec, result)
         self._touch(self._path(spec).name)
         self._evict()
+        return entry
 
-    def read(self, key: str) -> SimResult | None:
-        """The result stored under content address ``key`` (a job's
-        journaled key), or ``None`` when the key is malformed, evicted
-        or unreadable.  Counts no hit or miss: a job's results stream
-        re-reads what the job already resolved."""
+    def read(self, key: str) -> CellEntry | None:
+        """The entry stored under content address ``key`` (a job's
+        journaled key), undecoded, or ``None`` when the key is
+        malformed or the entry evicted or damaged.  Counts no hit or
+        miss: a job's results re-read what the job already resolved."""
         if not _KEY_RE.fullmatch(key):
             return None  # never let a journal key escape the store dir
-        return self._load(self.directory / f"{key}.pkl")
+        return read_entry(self.directory / f"{key}.pkl")
 
     # ------------------------------------------------------------------
     def _touch(self, name: str) -> None:
@@ -142,7 +151,7 @@ class ContentStore(ResultCache):
         self._lru[name] = None
 
     def _scan(self) -> list[tuple[Path, os.stat_result]]:
-        """Every published pickle with its ``stat``, from one listing."""
+        """Every published entry with its ``stat``, from one listing."""
         found = []
         try:
             with os.scandir(self.directory) as listing:
@@ -157,7 +166,7 @@ class ContentStore(ResultCache):
         return found
 
     def entries(self) -> list[Path]:
-        """Every published pickle currently in the store."""
+        """Every published entry currently in the store."""
         return [path for path, _ in self._scan()]
 
     def _evict(self) -> None:

@@ -64,7 +64,9 @@ Environment knobs:
 
 Cache keys (:attr:`CellSpec.key`) cover the whole spec *and* a
 fingerprint of the installed ``repro`` sources, so a code change can
-never serve stale results.
+never serve stale results.  Each cell is filed as one
+:class:`CellEntry`: a header line holding what a result's cell line
+prints, the pickled :class:`SimResult`, and a CRC-32 over both.
 """
 
 from __future__ import annotations
@@ -72,12 +74,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import json
 import os
 import pickle
 import signal
 import threading
 import time
 import warnings
+import zlib
 from concurrent.futures import (
     Future,
     InvalidStateError,
@@ -87,6 +91,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.sim.config import MachineConfig, config_token
 from repro.sim.simulator import SimResult, Simulator
@@ -301,8 +306,95 @@ def engine_fingerprint() -> str:
     return _FINGERPRINT_CACHE[repro.__file__]
 
 
+def cell_header(result: SimResult) -> dict:
+    """What a cell line and a summary row print of a result; the one
+    place those numbers are computed from a :class:`SimResult`."""
+    return {
+        "cycles": result.cycles,
+        "retired_user": result.retired_user,
+        "committed_fills": result.committed_fills,
+        "ipc": round(result.ipc, 6),
+        "mpki": round(result.miss_rate_per_kilo_inst, 6),
+        # Per-cause exception counts (docs/SCENARIOS.md); empty for the
+        # perfect machine, which never traps.
+        "exceptions_taken": dict(sorted(result.stats.cause_taken.items())),
+    }
+
+
+#: Tag on an entry's header line; any other (an older or newer layout)
+#: reads as a miss.
+ENTRY_FORMAT = "repro-cell/1"
+_HEADER_KEYS = frozenset(
+    ("cycles", "retired_user", "committed_fills", "ipc", "mpki",
+     "exceptions_taken")
+)
+
+
+class CellEntry(NamedTuple):
+    """One filed cell: its :func:`cell_header` and its pickled result.
+
+    On disk (:meth:`encode`) it is one JSON line, ``{"format": ...,
+    "header": {...}}``, then the payload, then the CRC-32 of both as
+    four big-endian bytes.  The payload is the exact ``result_b64`` a
+    cell line carries, so a store hit ships it without decoding.
+    """
+
+    header: dict
+    payload: bytes
+
+    @classmethod
+    def of(cls, result: SimResult) -> CellEntry:
+        """The entry of ``result``: its one pickle."""
+        return cls(cell_header(result), pickle.dumps(result))
+
+    def encode(self) -> bytes:
+        body = b"%s\n%s" % (
+            json.dumps({"format": ENTRY_FORMAT, "header": self.header}).encode(),
+            self.payload,
+        )
+        return body + zlib.crc32(body).to_bytes(4, "big")
+
+    def decode(self) -> SimResult | None:
+        """The stored result, or ``None`` when the payload does not
+        unpickle to a :class:`SimResult`."""
+        try:
+            result = pickle.loads(self.payload)
+        except Exception:  # noqa: BLE001 - a damaged pickle raises anything
+            return None
+        return result if isinstance(result, SimResult) else None
+
+
+def read_entry(path: Path) -> CellEntry | None:
+    """The entry filed at ``path``; ``None`` when it is absent,
+    unreadable, short, fails its checksum or has another format.  The
+    payload is not decoded."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    end = len(data) - 4
+    if end <= 0 or zlib.crc32(memoryview(data)[:end]) != int.from_bytes(
+        data[end:], "big"
+    ):
+        return None
+    newline = data.find(b"\n", 0, end)
+    try:
+        first = json.loads(data[:newline]) if newline > 0 else None
+    except (ValueError, RecursionError):
+        return None
+    if (
+        not isinstance(first, dict)
+        or first.get("format") != ENTRY_FORMAT
+        or not isinstance(first.get("header"), dict)
+        or first["header"].keys() != _HEADER_KEYS
+    ):
+        return None
+    return CellEntry(first["header"], data[newline + 1 : end])
+
+
 class ResultCache:
-    """Pickle-per-cell result store keyed by :attr:`CellSpec.key`.
+    """Entry-per-cell result store keyed by :attr:`CellSpec.key`.
 
     ``REPRO_CACHE=0`` is enforced *here*, inside :meth:`get` and
     :meth:`put` (a disabled cache misses every get and drops every put),
@@ -331,38 +423,34 @@ class ResultCache:
         return self.directory / f"{spec.key}.pkl"
 
     def get(self, spec: CellSpec) -> SimResult | None:
+        """The cached result; any entry that is absent, damaged or does
+        not decode to a :class:`SimResult` is a miss."""
         if not self.enabled():
             return None
-        return self._load(self._path(spec))
+        entry = read_entry(self._path(spec))
+        return None if entry is None else entry.decode()
 
-    @staticmethod
-    def _load(path: Path) -> SimResult | None:
-        """Unpickle one entry; an absent or unreadable one is a miss."""
-        try:
-            with path.open("rb") as fh:
-                return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            return None
-
-    def put(self, spec: CellSpec, result: SimResult) -> None:
+    def put(self, spec: CellSpec, result: SimResult) -> CellEntry | None:
         """Durable atomic publish: a cell is either fully cached or
-        absent.
+        absent.  Returns the entry (``None`` when the cache is
+        disabled), whose payload is the one pickle of ``result``.
 
-        The pickle is written to a pid-suffixed temp file, fsynced, and
+        The entry is written to a pid-suffixed temp file, fsynced, and
         renamed into place, so a worker killed mid-write (or mid-crash
-        of the whole machine) can never leave a truncated pickle under
-        the final name -- :meth:`get` would deserialize garbage as a
-        result.  Temp files orphaned by dead writers are pruned at this
-        instance's first put, so later puts list no directory.
+        of the whole machine) never leaves a truncated entry under the
+        final name; a torn one would fail its checksum anyway.  Temp
+        files orphaned by dead writers are pruned at this instance's
+        first put, so later puts list no directory.
 
-        The manifest is strictly an audit trail: once the pickle has
+        The manifest is strictly an audit trail: once the entry has
         been renamed into place the cell *is* published, so no manifest
         failure -- ``OSError`` or otherwise (say, an unserializable
         counter surfacing in ``build_manifest``) -- may escape and crash
         the worker into a pointless retry of a finished cell.
         """
         if not self.enabled():
-            return
+            return None
+        entry = CellEntry.of(result)
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             if not self._tmps_pruned:
@@ -371,15 +459,15 @@ class ResultCache:
             path = self._path(spec)
             tmp = path.with_suffix(f".tmp.{os.getpid()}")
             with tmp.open("wb") as fh:
-                pickle.dump(result, fh)
+                fh.write(entry.encode())
                 fh.flush()
                 os.fsync(fh.fileno())
             tmp.replace(path)  # atomic: concurrent writers race benignly
         except OSError:
-            return  # a read-only cache dir degrades to "no cache"
+            return entry  # a read-only cache dir degrades to "no cache"
         try:
             self._write_manifest(spec, result, path)
-        except Exception as exc:  # noqa: BLE001 - pickle already published
+        except Exception as exc:  # noqa: BLE001 - entry already published
             if not isinstance(exc, OSError) and not ResultCache._manifest_warned:
                 ResultCache._manifest_warned = True
                 warnings.warn(
@@ -389,6 +477,7 @@ class ResultCache:
                     RuntimeWarning,
                     stacklevel=2,
                 )
+        return entry
 
     def _prune_stale_tmps(self) -> None:
         """Remove temp files whose writer process is gone.
@@ -424,11 +513,11 @@ class ResultCache:
         return None
 
     def _write_manifest(self, spec: CellSpec, result: SimResult, path: Path) -> None:
-        """Audit trail: a human-readable manifest beside each pickle.
+        """Audit trail: a human-readable manifest beside each entry.
 
-        Like the pickle, the manifest is published by rename, and the
+        Like the entry, the manifest is published by rename, and the
         pid-suffixed ``*.json.tmp.<pid>`` intermediate falls under the
-        same liveness rule as pickle temps: :meth:`_prune_stale_tmps`
+        same liveness rule as entry temps: :meth:`_prune_stale_tmps`
         removes it only once this writer is dead.  A failure mid-build
         unlinks our own tmp immediately rather than leaving it to
         outlive the process.

@@ -179,8 +179,9 @@ class TestJobsOverHTTP:
             assert served[index] == a.server.service.store.key(spec)
 
         # A job's result lines are a sweep's cell lines: the same fields
-        # with the same values (the grid is all store hits by now), and
-        # every payload decodes to exactly what run_cell computes.
+        # with the same values (the grid is all store hits by now, so
+        # both carry the stored payload), and every payload decodes to
+        # exactly what run_cell computes.
         job_lines = {
             line["index"]: line
             for line in job_results(a.url, job_id)
@@ -198,7 +199,6 @@ class TestJobsOverHTTP:
             assert dataclasses.asdict(
                 decode_result(job_line)
             ) == dataclasses.asdict(run_cell(spec))
-            del job_line["result_b64"], sweep_line["result_b64"]
             assert job_line == sweep_line
 
     def test_warm_job_streams_its_results(self, pair, tmp_path, monkeypatch):

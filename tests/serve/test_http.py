@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import http.client
 import json
 import os
+import pickle
+import socket
 import subprocess
 import sys
 
@@ -14,13 +17,15 @@ import pytest
 from repro.serve.client import (
     ServeError,
     SweepClient,
+    decode_result,
     run_cells_via_server,
     split_server_url,
     submit_job,
 )
+from repro.serve.http import CHUNK_BYTES
 from repro.serve.service import spec_to_dict
-from repro.sim.parallel import run_cell
-from tests.serve.helpers import SRC_DIR, ServerThread, make_grid
+from repro.sim.parallel import cell_header, run_cell
+from tests.serve.helpers import SRC_DIR, ServerThread, make_grid, make_spec
 
 
 class TestUrlParsing:
@@ -172,6 +177,135 @@ class TestEndToEnd:
                 list(SweepClient(server.url).sweep(payload))
             with pytest.raises(ServeError, match="400.*must be an object"):
                 submit_job(server.url, payload)
+
+
+def count_transport_writes(monkeypatch) -> list[bytes]:
+    """Every write any asyncio socket transport is asked to make."""
+    from asyncio.selector_events import _SelectorSocketTransport
+
+    writes: list[bytes] = []
+    real = _SelectorSocketTransport.write
+
+    def write(self, data):
+        writes.append(bytes(data))
+        return real(self, data)
+
+    monkeypatch.setattr(_SelectorSocketTransport, "write", write)
+    return writes
+
+
+def raw_sweep(port: int, payload: dict) -> tuple[bytes, list[bytes]]:
+    """POST a sweep over a bare socket; the response head and its body
+    chunks as sent (the terminating chunk left out)."""
+    body = json.dumps(payload).encode()
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(
+            b"POST /sweep HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+            + body
+        )
+        data = b""
+        while block := sock.recv(1 << 16):
+            data += block
+    head, _, rest = data.partition(b"\r\n\r\n")
+    chunks = []
+    while True:
+        size_line, _, rest = rest.partition(b"\r\n")
+        size = int(size_line, 16)
+        if not size:
+            return head, chunks
+        chunks.append(rest[:size])
+        assert rest[size : size + 2] == b"\r\n"
+        rest = rest[size + 2 :]
+
+
+class TestHotPath:
+    """A store hit ships the stored bytes: no decode in the node, and a
+    request's ready lines leave in one socket write."""
+
+    def test_hit_line_carries_the_stored_payload(self, tmp_path):
+        spec = make_spec()
+        with ServerThread(tmp_path) as server:
+            run_cells_via_server(server.url, [spec])
+            entry = server.server.service.store.get(spec)
+            (line,) = [
+                event
+                for event in SweepClient(server.url).sweep(
+                    {"cells": [spec_to_dict(spec)]}
+                )
+                if event["kind"] == "cell"
+            ]
+        expected = run_cell(spec)
+        assert line["cached"]
+        assert base64.b64decode(line["result_b64"]) == entry.payload
+        assert dataclasses.asdict(decode_result(line)) == dataclasses.asdict(
+            expected
+        )
+        assert entry.header == cell_header(expected)
+
+    def test_all_hit_sweep_unpickles_nothing(self, tmp_path, monkeypatch):
+        specs = make_grid()
+        with ServerThread(tmp_path) as server:
+            run_cells_via_server(server.url, specs)
+            unpickled = []
+            for name in ("loads", "load"):
+                real = getattr(pickle, name)
+                monkeypatch.setattr(
+                    pickle,
+                    name,
+                    lambda *a, _real=real, **kw: unpickled.append(1)
+                    or _real(*a, **kw),
+                )
+            events = list(
+                SweepClient(server.url).sweep(
+                    {"cells": [spec_to_dict(spec) for spec in specs]}
+                )
+            )
+        assert unpickled == []
+        cells = [event for event in events if event["kind"] == "cell"]
+        assert len(cells) == len(specs)
+        assert all(cell["cached"] and cell["result_b64"] for cell in cells)
+
+    def test_all_hit_sweep_is_two_writes(self, tmp_path, monkeypatch):
+        """Twenty hits: the head and the cell lines in one write, the
+        summary and the terminating chunk in the other."""
+        specs = [make_spec(user_insts=300 + n) for n in range(20)]
+        with ServerThread(tmp_path) as server:
+            result = run_cell(specs[0])
+            for spec in specs:
+                server.server.service.store.put(spec, result)
+            writes = count_transport_writes(monkeypatch)
+            head, chunks = raw_sweep(
+                server.server.port,
+                {"cells": [spec_to_dict(spec) for spec in specs]},
+            )
+        assert b" 200 " in head
+        assert len(writes) == 2
+        assert len(chunks) == 2
+        assert chunks[0].count(b"\n") == 20
+        assert json.loads(chunks[1])["kind"] == "summary"
+        assert writes[-1].endswith(b"\r\n0\r\n\r\n")
+
+    def test_big_response_is_split_into_bounded_chunks(
+        self, tmp_path, monkeypatch
+    ):
+        """A 4,096-cell response: each chunk stops at the first line
+        that takes it to CHUNK_BYTES, and each is one write."""
+        spec = make_spec()
+        with ServerThread(tmp_path) as server:
+            server.server.service.store.put(spec, run_cell(spec))
+            writes = count_transport_writes(monkeypatch)
+            head, chunks = raw_sweep(
+                server.server.port, {"cells": [spec_to_dict(spec)] * 4096}
+            )
+        lines = [line for chunk in chunks for line in chunk.splitlines()]
+        assert len(lines) == 4097
+        assert json.loads(lines[-1])["cells"] == 4096
+        for chunk in chunks:
+            before_last = chunk[: chunk.rstrip(b"\n").rfind(b"\n") + 1]
+            assert len(before_last) < CHUNK_BYTES
+        # Full chunks, bar the batch's last one and the summary's.
+        assert all(len(chunk) >= CHUNK_BYTES for chunk in chunks[:-2])
+        assert len(writes) == len(chunks)
 
 
 class TestCli:

@@ -5,13 +5,16 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import pickle
 import time
 
 import pytest
 
+from repro.serve.client import decode_result
 from repro.serve.service import (
     SweepRequestError,
     SweepService,
+    cell_line,
     config_from_dict,
     config_to_dict,
     expand_sweep,
@@ -22,7 +25,7 @@ from repro.serve.service import (
 from repro.serve import service
 from repro.serve.store import ContentStore
 from repro.sim.config import MECHANISMS, FUPool, MachineConfig
-from repro.sim.parallel import run_cell
+from repro.sim.parallel import cell_header, read_entry, run_cell
 from tests.serve.helpers import make_grid, make_service, make_spec
 
 
@@ -275,6 +278,48 @@ class TestResolution:
         assert service.store.stats.hits == 20
         assert service.cells_simulated == 0
 
+    def test_damaged_entry_is_resimulated_and_rewritten(self, tmp_path):
+        """A sweep over an entry damaged on disk reads it as a miss,
+        simulates the cell again, succeeds, and files a sound entry."""
+        service = make_service(tmp_path)
+        spec = make_spec()
+        service.store.put(spec, run_cell(spec))
+        path = tmp_path / f"{spec.key}.pkl"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        (outcome,) = asyncio.run(service.run_cells([spec]))
+        assert not outcome.cached
+        assert service.cells_simulated == 1
+        assert dataclasses.asdict(outcome.result) == dataclasses.asdict(
+            run_cell(spec)
+        )
+        rewritten = read_entry(path)
+        assert rewritten is not None
+        assert rewritten.header == cell_header(outcome.result)
+
+    @pytest.mark.parametrize("cache", ["1", "0"])
+    def test_simulated_cell_is_pickled_once(self, tmp_path, monkeypatch, cache):
+        """A simulated cell's line carries the bytes the store wrote:
+        one pickle per cell, and one still when the store is off."""
+        monkeypatch.setenv("REPRO_CACHE", cache)
+        service = make_service(tmp_path)
+        specs = make_grid()[:2]
+        pickled = []
+        for name in ("dumps", "dump"):
+            real = getattr(pickle, name)
+            monkeypatch.setattr(
+                pickle,
+                name,
+                lambda *a, _real=real, **kw: pickled.append(1) or _real(*a, **kw),
+            )
+        outcomes = asyncio.run(service.run_cells(specs))
+        lines = [cell_line(i, o, True) for i, o in enumerate(outcomes)]
+        assert len(pickled) == len(specs)
+        for spec, line in zip(specs, lines):
+            assert decode_result(line) == run_cell(spec)
+
     def test_mixed_sweep_yields_each_index_once(self, tmp_path):
         """Hits, a duplicated miss and a lone miss in one request: every
         index comes back once, flagged by how it was resolved."""
@@ -286,9 +331,12 @@ class TestResolution:
         specs = [hit_a, miss, hit_b, miss, lone]
 
         async def collect():
-            return [item async for item in service.stream_cells(specs)]
+            return [batch async for batch in service.stream_cells(specs)]
 
-        items = asyncio.run(collect())
+        batches = asyncio.run(collect())
+        # The request's hits come first, together.
+        assert sorted(index for index, _ in batches[0]) == [0, 2]
+        items = [item for batch in batches for item in batch]
         assert sorted(index for index, _ in items) == list(range(len(specs)))
         flags = {index: (o.cached, o.deduped) for index, o in items}
         assert flags == {
